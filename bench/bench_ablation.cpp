@@ -8,13 +8,9 @@
 //   C. ompi_cr_continue_like_restart on/off (whether a recovery migration
 //      re-acquires InfiniBand, §III-C);
 //   D. InfiniBand link-up time sweep (what fixing the ~30 s port training
-//      — an open issue in §V — would buy per episode);
-//   F. migration-decision policies under live service load (`--policies`
-//      runs only this study and emits BENCH_ablation_policies.json for the
-//      CI key pin; exits non-zero unless SloThrottlePolicy improves the
-//      pre-copy p99 over StaticPolicy with the blackout still <= 30 ms).
-#include <cstring>
-#include <fstream>
+//      — an open issue in §V — would buy per episode).
+// The migration-decision policy A/B under live service load is the
+// `policies` row of bench_gate.
 #include <iostream>
 #include <memory>
 #include <string>
@@ -23,12 +19,9 @@
 #include "bench/common.h"
 #include "core/job.h"
 #include "core/ninja.h"
-#include "core/service_episode.h"
 #include "core/testbed.h"
-#include "policy/policies.h"
 #include "util/table.h"
 #include "workloads/bcast_reduce.h"
-#include "workloads/kv_service.h"
 #include "workloads/memtest.h"
 
 // Forward declaration for study E (defined below main's helpers).
@@ -171,170 +164,9 @@ double consolidated_iteration_time(bool sriov) {
   return n > 0 ? sum / n : 0.0;
 }
 
-// --- Study F: decision policies under live service load ---------------------
-
-struct PolicyRunMetrics {
-  std::string key;  // JSON key prefix
-  std::uint64_t digest = 0;
-  std::uint64_t generated = 0;
-  std::uint64_t completed = 0;
-  bool episode_done = false;
-  std::int64_t precopy_p99_ns = 0;
-  std::uint64_t precopy_misses = 0;
-  std::int64_t blackout_ns = 0;
-  std::int64_t total_ns = 0;
-};
-
-enum class PolicyVariant { kStatic, kSloThrottle, kQuietPause };
-
-// The examples/live_service scenario: 4 loaded KV servers (per-server
-// utilisation ~0.9), kv0 migrated off its draining host at t=2 s while 4
-// fleets keep an open loop of 10,400 req/s on the service.
-PolicyRunMetrics run_policy_episode(PolicyVariant variant) {
-  core::TestbedConfig config;
-  config.fluid_shards = 2;
-  core::Testbed testbed(config);
-
-  workloads::KvServiceConfig svc;
-  svc.replicas = 2;
-  svc.service_core_seconds = 1.38e-3;
-  svc.worker_threads = 8;
-  svc.zipf_s = 0.7;
-  svc.deadline = Duration::millis(20);
-  svc.write_fraction = 0.4;
-  svc.value_bytes = Bytes::kib(8);
-  workloads::KvService service(testbed, svc);
-
-  std::vector<std::shared_ptr<vmm::Vm>> vms;
-  for (int i = 0; i < 4; ++i) {
-    vmm::VmSpec spec;
-    spec.name = "kv" + std::to_string(i);
-    spec.memory = Bytes::mib(256);
-    spec.base_os_footprint = Bytes::mib(96);
-    vms.push_back(testbed.boot_vm(testbed.eth_host(i), spec, /*with_hca=*/false));
-    service.add_server(vms.back());
-  }
-  for (int i = 0; i < 4; ++i) {
-    workloads::ClientFleetConfig fleet;
-    fleet.name = "fleet" + std::to_string(i);
-    fleet.rate_per_sec = 2600.0;
-    fleet.window = Duration::seconds(10);
-    service.add_fleet(testbed.ib_host(i), fleet);
-  }
-  testbed.settle();
-
-  core::ServiceEpisode episode(testbed.sim());
-  service.observe_migration(&episode.live());
-  service.start();
-  core::EpisodeSpec spec(vms[0], testbed.eth_host(4));
-  spec.after(Duration::seconds(2)).observe(service.observation_source());
-  policy::PolicySet policies;
-  PolicyRunMetrics m;
-  switch (variant) {
-    case PolicyVariant::kStatic:
-      m.key = "static";
-      break;
-    case PolicyVariant::kSloThrottle:
-      m.key = "slo_throttle";
-      policies.use(policy::Hook::kPreCopyRound,
-                   std::make_shared<policy::SloThrottlePolicy>());
-      break;
-    case PolicyVariant::kQuietPause:
-      m.key = "quiet_pause";
-      policies.use(policy::Hook::kPauseDecision,
-                   std::make_shared<policy::QuietPausePolicy>());
-      break;
-  }
-  spec.with(std::move(policies), config.seed);
-  (void)episode.start(std::move(spec));
-  testbed.sim().run_for(Duration::seconds(40));
-
-  m.digest = service.digest();
-  m.generated = service.generated();
-  m.completed = service.completed();
-  m.episode_done = episode.done();
-  const auto& precopy = service.phase(vmm::MigrationPhase::kPreCopy);
-  m.precopy_misses = precopy.deadline_misses;
-  if (precopy.latency.count() > 0) {
-    m.precopy_p99_ns = precopy.latency.percentile(0.99).count_nanos();
-  }
-  if (m.episode_done) {
-    m.blackout_ns = episode.report().blackout.count_nanos();
-    m.total_ns = episode.report().total.count_nanos();
-  }
-  return m;
-}
-
-int run_policies(bool json_only) {
-  // The SLO loop must actually close: throttling has to buy pre-copy tail
-  // latency, and it must never buy it from the blackout (round caps do not
-  // apply to the stop-and-copy drain).
-  constexpr std::int64_t kBlackoutCeilingNs = 30'000'000;
-  if (!json_only) {
-    std::cout << "\nF. Decision policies under live service load (the\n"
-                 "   examples/live_service scenario: 10,400 req/s open-loop, kv0\n"
-                 "   migrated off its draining host at t=2 s):\n";
-  }
-  std::vector<PolicyRunMetrics> runs;
-  runs.push_back(run_policy_episode(PolicyVariant::kStatic));
-  runs.push_back(run_policy_episode(PolicyVariant::kSloThrottle));
-  runs.push_back(run_policy_episode(PolicyVariant::kQuietPause));
-
-  TextTable table({"policy", "pre-copy p99 [ms]", "pre-copy misses", "blackout [ms]",
-                   "episode total [ms]"});
-  bool ok = true;
-  for (const auto& m : runs) {
-    ok = ok && m.episode_done && m.completed == m.generated && m.precopy_p99_ns > 0;
-    table.add_row({m.key, TextTable::num(static_cast<double>(m.precopy_p99_ns) / 1e6, 2),
-                   std::to_string(m.precopy_misses),
-                   TextTable::num(static_cast<double>(m.blackout_ns) / 1e6, 2),
-                   TextTable::num(static_cast<double>(m.total_ns) / 1e6, 2)});
-  }
-  const PolicyRunMetrics& st = runs[0];
-  const PolicyRunMetrics& throttle = runs[1];
-  if (throttle.precopy_p99_ns >= st.precopy_p99_ns) {
-    std::cout << "FAIL: slo-throttle did not improve the pre-copy p99 ("
-              << throttle.precopy_p99_ns << " vs static " << st.precopy_p99_ns << " ns)\n";
-    ok = false;
-  }
-  if (throttle.blackout_ns > kBlackoutCeilingNs) {
-    std::cout << "FAIL: slo-throttle blackout " << throttle.blackout_ns
-              << " ns exceeds the " << kBlackoutCeilingNs << " ns ceiling\n";
-    ok = false;
-  }
-  if (!json_only) {
-    table.render(std::cout);
-    std::cout << "SloThrottlePolicy trades episode length for user tail latency;\n"
-                 "QuietPausePolicy re-times the pause into an arrival gap. Neither\n"
-                 "touches the stop-and-copy drain, so max_downtime holds for all.\n";
-  } else {
-    table.render(std::cout);
-  }
-
-  std::ofstream out("BENCH_ablation_policies.json");
-  out << "{\n  \"requests\": " << st.generated << ",\n";
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const auto& m = runs[i];
-    out << "  \"" << m.key << "_digest\": " << m.digest << ",\n"
-        << "  \"" << m.key << "_precopy_p99_ns\": " << m.precopy_p99_ns << ",\n"
-        << "  \"" << m.key << "_precopy_misses\": " << m.precopy_misses << ",\n"
-        << "  \"" << m.key << "_blackout_ns\": " << m.blackout_ns << ",\n"
-        << "  \"" << m.key << "_total_ns\": " << m.total_ns
-        << (i + 1 < runs.size() ? ",\n" : "\n");
-  }
-  out << "}\n";
-  return ok ? 0 : 1;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  // `--policies` runs only study F and emits BENCH_ablation_policies.json;
-  // CI pins its key set with tools/check_bench_keys.sh and the run itself
-  // gates the SLO-loop win (see run_policies).
-  if (argc > 1 && std::strcmp(argv[1], "--policies") == 0) {
-    return run_policies(/*json_only=*/true);
-  }
+int main() {
   bench::print_header("Ablations", "design-choice and §V-optimization studies");
 
   std::cout << "\nA/B. Migration of a 20 GiB memtest VM (8 GiB uniform array):\n";
@@ -379,5 +211,5 @@ int main(int argc, char** argv) {
   e.render(std::cout);
   std::cout << "SR-IOV removes the only reason consolidated placements had to fall\n"
                "back to TCP — an extension experiment beyond the paper's testbed.\n";
-  return run_policies(/*json_only=*/false);
+  return 0;
 }

@@ -19,43 +19,14 @@
 //      serial build;
 //   6. parallel dirty-domain solving: the SolvePool computes dirty pods on
 //      worker threads, commits in canonical order — timeline bit-identical
-//      to the serial drain;
-//   7. cross-domain boundary flows: inter-pod transfers traverse a shared
-//      spine switch in a separate core domain, so every transfer is a
-//      boundary flow spanning three FluidDomains; the ghost-capacity
-//      exchange must converge to the same timeline at every worker count
-//      (`--sweep7` emits the machine-readable digest used by CI);
-//   8. federated evacuation: two testbeds coupled by a calibrated 50 ms /
-//      1 Gbps / 0.1 % WanLink, four VMs live-migrated cross-site onto two
-//      hosts — the full §II disaster-recovery path with the WAN CapPolicy
-//      folding into every boundary offer; timeline must stay bit-identical
-//      at every worker count (`--sweep8` emits the CI digest).
-//   9. planned mass evacuation over a 5-site mesh: MassEvacuation drains
-//      every VM off the source site through the EvacuationPlanner's wave
-//      schedule (one refuge two hops out, so multi-hop WAN routes carry
-//      real traffic). Three gates: the evacuation timeline is bit-identical
-//      at every worker count, the batched plan's makespan beats the
-//      naive-sequential baseline, and every exchange converges (`--sweep9`
-//      emits the CI digest).
-//  10. SLO-visible migration under open-loop service load: a small KvService
-//      (2 servers, 2 client fleets of Poisson/zipfian traffic) keeps serving
-//      while one loaded server migrates. Four gates: the service+migration
-//      timeline (request digest + final instant) is bit-identical at every
-//      worker count, offered load is conserved (every generated request
-//      completes), the overall p999 stays under a fixed ceiling, and every
-//      exchange converges (`--sweep10` emits the CI digest).
-//  11. oversubscribed Clos evacuation: the source site drains 24 VMs racked
-//      under three 4:1-oversubscribed leaves into two 2-leaf refuges, with
-//      the leaf-aware planner vs the topology-blind baseline. Four gates:
-//      the aware timeline is bit-identical at every worker count, the
-//      aware makespan is never worse than the blind one, every VM lands,
-//      and every exchange converges (`--sweep11` emits the CI digest).
+//      to the serial drain.
+//
+// The value-pinned multi-domain scenarios (cross-domain boundary flows,
+// federated and planned mass evacuation, service under migration, Clos
+// evacuation) are rows of bench_gate.
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstdint>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -63,19 +34,14 @@
 #include <vector>
 
 #include "bench/common.h"
-#include "core/evacuation_driver.h"
-#include "core/federation.h"
 #include "core/job.h"
 #include "core/ninja.h"
-#include "core/service_episode.h"
 #include "core/testbed.h"
 #include "hw/cluster.h"
 #include "net/port.h"
 #include "sim/fluid.h"
-#include "sim/fluid_net.h"
 #include "sim/solve_pool.h"
 #include "util/table.h"
-#include "workloads/kv_service.h"
 #include "workloads/bcast_reduce.h"
 
 namespace {
@@ -126,32 +92,10 @@ constexpr int kNodesPerPod = 8192;
 // construction scaling, the flows only pin the merged-timeline digest.
 constexpr int kFlowNodes = 64;
 
-struct Pod {
-  std::unique_ptr<hw::Cluster> cluster;
-  std::vector<std::unique_ptr<net::NicPort>> ports;
-};
-
-// Builds one isolated pod (nodes + NIC ports) entirely inside `domain`.
-// Pure resource registration: no simulation posts, so pods on distinct
-// domains can be built from distinct threads.
-Pod build_pod(sim::FluidDomain& domain, int p, int node_count = kNodesPerPod) {
-  Pod pod;
-  pod.cluster = std::make_unique<hw::Cluster>("pod" + std::to_string(p));
-  pod.ports.reserve(static_cast<std::size_t>(node_count));
-  for (int n = 0; n < node_count; ++n) {
-    hw::NodeSpec spec;
-    spec.name = "pod" + std::to_string(p) + ":n" + std::to_string(n);
-    auto& node = pod.cluster->add_node(domain, spec);
-    pod.ports.push_back(std::make_unique<net::NicPort>(node, spec.name + ":eth",
-                                                       Bandwidth::gib_per_sec(10.0)));
-  }
-  return pod;
-}
-
 // Starts the pods' flow program serially (flow admission posts settle
 // events on the shared clock) and drains the merged timeline. The returned
 // final time is the cross-pod digest: it covers every pod's completion.
-std::int64_t run_pod_flows(sim::Simulation& sim, std::vector<Pod>& pods,
+std::int64_t run_pod_flows(sim::Simulation& sim, std::vector<bench::Pod>& pods,
                            const std::vector<sim::FluidDomain*>& pod_domain,
                            int flow_nodes = kFlowNodes) {
   for (std::size_t p = 0; p < pods.size(); ++p) {
@@ -191,7 +135,7 @@ ShardResult run_sharded(int pods, bool parallel) {
     pod_domain.assign(static_cast<std::size_t>(pods), domains.front().get());
   }
 
-  std::vector<Pod> built(static_cast<std::size_t>(pods));
+  std::vector<bench::Pod> built(static_cast<std::size_t>(pods));
   const auto start = std::chrono::steady_clock::now();
   if (parallel) {
     // One worker per hardware thread (not per pod): on a single-core host
@@ -205,7 +149,7 @@ ShardResult run_sharded(int pods, bool parallel) {
       workers.emplace_back([&built, &pod_domain, pods, workers_n, w] {
         for (int p = w; p < pods; p += workers_n) {
           built[static_cast<std::size_t>(p)] =
-              build_pod(*pod_domain[static_cast<std::size_t>(p)], p);
+              bench::build_pod(*pod_domain[static_cast<std::size_t>(p)], p, kNodesPerPod);
         }
       });
     }
@@ -214,7 +158,8 @@ ShardResult run_sharded(int pods, bool parallel) {
     }
   } else {
     for (int p = 0; p < pods; ++p) {
-      built[static_cast<std::size_t>(p)] = build_pod(*pod_domain[static_cast<std::size_t>(p)], p);
+      built[static_cast<std::size_t>(p)] =
+          bench::build_pod(*pod_domain[static_cast<std::size_t>(p)], p, kNodesPerPod);
     }
   }
   const auto built_at = std::chrono::steady_clock::now();
@@ -258,10 +203,10 @@ SolveSweepResult run_parallel_solve(int pods, int workers) {
     }
     pod_domain.push_back(domains.back().get());
   }
-  std::vector<Pod> built;
+  std::vector<bench::Pod> built;
   built.reserve(static_cast<std::size_t>(pods));
   for (int p = 0; p < pods; ++p) {
-    built.push_back(build_pod(*pod_domain[static_cast<std::size_t>(p)], p, kSolvePodNodes));
+    built.push_back(bench::build_pod(*pod_domain[static_cast<std::size_t>(p)], p, kSolvePodNodes));
   }
 
   SolveSweepResult res;
@@ -280,674 +225,9 @@ SolveSweepResult run_parallel_solve(int pods, int workers) {
   return res;
 }
 
-// --- Sweep 7: cross-domain boundary flows through a shared spine ------------
-
-// P pods, each its own FluidNet domain, plus a "core" domain holding one
-// shared spine-switch resource. Every inter-pod transfer crosses three
-// domains (source tx -> spine -> destination rx), so it is admitted as a
-// boundary flow and settled through the ghost-capacity exchange. The local
-// compute flows keep each pod's domain genuinely busy at the same instants,
-// making the exchange batches span domains. The invariant is the same as
-// sweeps 5/6: the merged timeline is bit-identical at every worker count.
-constexpr int kCrossPodNodes = 32;
-
-struct CrossDomainResult {
-  double wall_ms = 0.0;
-  std::int64_t final_ns = 0;
-  std::size_t peak_boundary = 0;    // boundary flows registered after admission
-  std::size_t exchange_rounds = 0;  // total exchange iterations across settles
-  std::size_t unconverged = 0;      // settles that hit the round cap (must be 0)
-};
-
-CrossDomainResult run_cross_domain(int pods, int workers) {
-  sim::Simulation sim;
-  sim::FluidNet net(sim, workers);
-  auto& core = net.add_domain("core");
-  sim::FluidResource spine(core.scheduler(), "spine", 40e9);
-  std::vector<sim::FluidDomain*> pod_domain;
-  pod_domain.reserve(static_cast<std::size_t>(pods));
-  for (int p = 0; p < pods; ++p) {
-    pod_domain.push_back(&net.add_domain("pod" + std::to_string(p)));
-  }
-  std::vector<Pod> built;
-  built.reserve(static_cast<std::size_t>(pods));
-  for (int p = 0; p < pods; ++p) {
-    built.push_back(build_pod(*pod_domain[static_cast<std::size_t>(p)], p, kCrossPodNodes));
-  }
-
-  for (int p = 0; p < pods; ++p) {
-    auto& pod = built[static_cast<std::size_t>(p)];
-    auto& next = built[static_cast<std::size_t>((p + 1) % pods)];
-    for (int n = 0; n < kCrossPodNodes; ++n) {
-      auto& node = pod.cluster->node(static_cast<std::size_t>(n));
-      // Pod-local compute: stays inside the pod's own domain.
-      net.start(sim::FlowSpec{.work = (n + 1) * 0.05, .max_rate = 1.0}.over(node.cpu()));
-      if (n % 4 == 0) {
-        // Inter-pod transfer to the neighbour pod through the spine: a
-        // boundary flow spanning pod p, core, and pod p+1.
-        net.start(sim::FlowSpec{.work = 1e8 * (n + 1)}
-                      .over(pod.ports[static_cast<std::size_t>(n)]->tx())
-                      .over(spine)
-                      .over(next.ports[static_cast<std::size_t>(n)]->rx()));
-      }
-    }
-  }
-
-  CrossDomainResult res;
-  res.peak_boundary = net.boundary_flow_count();
-  const auto start = std::chrono::steady_clock::now();
-  res.final_ns = sim.run().count_nanos();
-  res.wall_ms = std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-  res.exchange_rounds = net.exchange_round_count();
-  res.unconverged = net.unconverged_exchange_count();
-  return res;
-}
-
-// Deterministic digest of sweep 7 for the CI baseline diff: only the
-// simulated-time results (never wall-clock) go into the JSON.
-void write_sweep7_json(const std::vector<std::array<std::int64_t, 3>>& rows) {
-  std::ofstream out("BENCH_scalability_sweep7.json");
-  out << "{\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    out << "  \"pods" << rows[i][0] << "_workers" << rows[i][1]
-        << "_final_ns\": " << rows[i][2] << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "}\n";
-}
-
-int run_sweep7(bool json_only) {
-  std::cout << "\n7. Cross-domain boundary flows (" << kCrossPodNodes
-            << "-node pods, shared spine in a core domain, inter-pod transfers\n"
-               "   span 3 domains via the ghost-capacity exchange):\n";
-  TextTable t7({"pods", "workers", "drain [ms]", "boundary flows", "exch rounds",
-                "timeline"});
-  std::vector<std::array<std::int64_t, 3>> json_rows;
-  bool diverged = false;
-  for (const int pods : {2, 4}) {
-    CrossDomainResult baseline;
-    for (const int workers : {0, 1, 2, 4}) {
-      const auto r = run_cross_domain(pods, workers);
-      if (workers == 0) {
-        baseline = r;
-      }
-      diverged = diverged || r.final_ns != baseline.final_ns || r.unconverged != 0;
-      t7.add_row({std::to_string(pods),
-                  workers == 0 ? "0 (serial)" : std::to_string(workers),
-                  TextTable::num(r.wall_ms, 2), std::to_string(r.peak_boundary),
-                  std::to_string(r.exchange_rounds),
-                  r.final_ns == baseline.final_ns
-                      ? (workers == 0 ? "baseline" : "bit-identical")
-                      : "DIVERGED"});
-      json_rows.push_back({pods, workers, r.final_ns});
-    }
-  }
-  if (!json_only) {
-    t7.render(std::cout);
-    std::cout << "Each transfer's home flow lives in its source pod; ghost flows\n"
-                 "mirror it onto the spine and the destination pod, and the settle\n"
-                 "loop iterates publish/re-solve until the boundary rates reach a\n"
-                 "fixed point. Commits still replay in canonical (domain, component)\n"
-                 "order, so the timeline is bit-identical at every worker count.\n";
-  }
-  write_sweep7_json(json_rows);
-  return diverged ? 1 : 0;
-}
-
-// --- Sweep 8: federated evacuation over a calibrated WAN --------------------
-
-struct FederatedResult {
-  std::int64_t final_ns = 0;
-  std::int64_t evac_done_ns = 0;
-  std::size_t exchange_rounds = 0;
-  std::size_t unconverged = 0;
-  double wall_ms = 0.0;
-};
-
-sim::Task evacuate_vm(vmm::Vm& vm, vmm::Host& dst) {
-  co_await vm.host().migrate(vm, dst);
-}
-
-FederatedResult run_federated_evacuation(int workers) {
-  core::FederationConfig fcfg;
-  fcfg.site_a.ib_nodes = 0;
-  fcfg.site_a.eth_nodes = 4;
-  fcfg.site_b.ib_nodes = 0;
-  fcfg.site_b.eth_nodes = 2;
-  fcfg.wan.line_rate = Bandwidth::gbps(1);    // the paper's continental target
-  fcfg.wan.rtt = Duration::millis(50);
-  fcfg.wan.loss = 0.001;
-  fcfg.solve_workers = workers;
-  core::Federation fed(fcfg);
-
-  std::vector<std::shared_ptr<vmm::Vm>> vms;
-  for (int i = 0; i < 4; ++i) {
-    vmm::VmSpec spec;
-    spec.name = "vm" + std::to_string(i);
-    spec.memory = Bytes::gib(2);
-    spec.base_os_footprint = Bytes::mib(256);
-    auto vm = fed.site_a().boot_vm(fed.site_a().eth_host(i), spec, /*with_hca=*/false);
-    vm->memory().write_data(Bytes::zero(), Bytes::mib(512));
-    vms.push_back(std::move(vm));
-  }
-  fed.settle();
-
-  FederatedResult res;
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<sim::TaskRef> refs;
-  for (int i = 0; i < 4; ++i) {
-    // Consolidate 4 VMs onto the safe site's 2 hosts, all concurrently
-    // sharing the Mathis-limited link.
-    vmm::Host* dst = fed.find_host(i % 2 == 0 ? "b:eth0" : "b:eth1");
-    refs.push_back(fed.sim().spawn(evacuate_vm(*vms[static_cast<std::size_t>(i)], *dst),
-                                   "evac" + std::to_string(i)));
-  }
-  fed.sim().spawn([](core::Federation& f, std::vector<sim::TaskRef> r,
-                     FederatedResult& out) -> sim::Task {
-    co_await sim::join_all(std::move(r));
-    out.evac_done_ns = f.sim().now().count_nanos();
-  }(fed, std::move(refs), res));
-  res.final_ns = fed.sim().run().count_nanos();
-  res.wall_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
-          .count();
-  res.exchange_rounds = fed.exchange_round_count();
-  res.unconverged = fed.unconverged_exchange_count();
-  return res;
-}
-
-void write_sweep8_json(const std::vector<std::array<std::int64_t, 3>>& rows) {
-  std::ofstream out("BENCH_scalability_sweep8.json");
-  out << "{\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    out << "  \"workers" << rows[i][0] << "_evac_done_ns\": " << rows[i][1] << ",\n"
-        << "  \"workers" << rows[i][0] << "_final_ns\": " << rows[i][2]
-        << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "}\n";
-}
-
-int run_sweep8(bool json_only) {
-  std::cout << "\n8. Federated evacuation (two sites, 50 ms / 1 Gbps / 0.1 % WAN,\n"
-               "   4 VMs live-migrated cross-site onto 2 hosts):\n";
-  TextTable t8({"workers", "wall [ms]", "evac done [s]", "exch rounds", "timeline"});
-  std::vector<std::array<std::int64_t, 3>> json_rows;
-  bool diverged = false;
-  FederatedResult baseline;
-  for (const int workers : {0, 1, 2, 4}) {
-    const auto r = run_federated_evacuation(workers);
-    if (workers == 0) {
-      baseline = r;
-    }
-    diverged = diverged || r.final_ns != baseline.final_ns ||
-               r.evac_done_ns != baseline.evac_done_ns || r.unconverged != 0;
-    t8.add_row({workers == 0 ? "0 (serial)" : std::to_string(workers),
-                TextTable::num(r.wall_ms, 2),
-                TextTable::num(static_cast<double>(r.evac_done_ns) / 1e9, 3),
-                std::to_string(r.exchange_rounds),
-                r.final_ns == baseline.final_ns && r.evac_done_ns == baseline.evac_done_ns
-                    ? (workers == 0 ? "baseline" : "bit-identical")
-                    : "DIVERGED"});
-    json_rows.push_back({workers, r.evac_done_ns, r.final_ns});
-  }
-  if (!json_only) {
-    t8.render(std::cout);
-    std::cout << "Each pre-copy stream is a boundary flow through both sites' uplinks\n"
-                 "and the WanLink endpoint pair; the link's CapPolicy folds the Mathis\n"
-                 "ceiling into every published ghost cap, and the evacuation lands at\n"
-                 "the same nanosecond at every worker count.\n";
-  }
-  write_sweep8_json(json_rows);
-  return diverged ? 1 : 0;
-}
-
-// --- Sweep 9: planned mass evacuation over a 5-site mesh --------------------
-
-struct MeshEvacResult {
-  std::int64_t final_ns = 0;
-  std::int64_t evac_done_ns = 0;
-  std::int64_t makespan_ns = 0;
-  int waves = 0;
-  std::size_t evacuated = 0;
-  std::size_t fleet = 0;
-  std::size_t unconverged = 0;
-  double wall_ms = 0.0;
-};
-
-MeshEvacResult run_mesh_evacuation(int workers, bool sequential) {
-  // Same shape as examples/mass_evacuation.cpp, sized for CI: dc0 is the
-  // failing site, dc1..dc3 are direct neighbours, dc4 is two hops out so
-  // the planner's multi-hop routes carry real traffic.
-  core::FederationConfig fcfg;
-  core::TestbedConfig source;
-  source.ib_nodes = 0;
-  source.eth_nodes = 8;
-  core::TestbedConfig refuge;
-  refuge.ib_nodes = 0;
-  refuge.eth_nodes = 4;
-  fcfg.sites = {{"dc0", source}, {"dc1", refuge}, {"dc2", refuge},
-                {"dc3", refuge}, {"dc4", refuge}};
-  sim::WanLinkConfig metro;  // EXPERIMENTS.md metro calibration
-  metro.line_rate = Bandwidth::gbps(1);
-  metro.rtt = Duration::millis(5);
-  metro.loss = 0.0001;
-  fcfg.edges = {{0, 1, metro}, {0, 2, metro}, {0, 3, metro},
-                {1, 4, metro}, {2, 4, metro}};
-  fcfg.solve_workers = workers;
-  core::Federation fed(fcfg);
-
-  MeshEvacResult res;
-  auto& src = fed.site(0);
-  for (int h = 0; h < src.eth_host_count(); ++h) {
-    for (int v = 0; v < 4; ++v) {
-      vmm::VmSpec spec;
-      spec.name = "vm" + std::to_string(h) + "_" + std::to_string(v);
-      spec.memory = Bytes::gib(1);
-      spec.base_os_footprint = Bytes::mib(128);
-      auto vm = src.boot_vm(src.eth_host(h), spec, /*with_hca=*/false);
-      vm->memory().write_data(Bytes::mib(128), Bytes::mib(128));
-      ++res.fleet;
-    }
-  }
-  fed.settle();
-
-  core::EvacuationConfig ecfg;
-  ecfg.source_site = 0;
-  ecfg.sequential = sequential;
-  core::MassEvacuation evac(fed, ecfg);
-  core::EvacuationReport report;
-  const auto start = std::chrono::steady_clock::now();
-  fed.sim().spawn(evac.run(&report), "mass-evac");
-  res.final_ns = fed.sim().run().count_nanos();
-  res.wall_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
-          .count();
-  res.evac_done_ns = report.done_ns;
-  res.makespan_ns = report.done_ns - report.started_ns;
-  res.waves = report.waves;
-  res.evacuated = report.evacuated;
-  res.unconverged = fed.unconverged_exchange_count();
-  return res;
-}
-
-void write_sweep9_json(const std::vector<std::array<std::int64_t, 3>>& rows,
-                       std::int64_t planner_makespan_ns, std::int64_t sequential_makespan_ns) {
-  std::ofstream out("BENCH_scalability_sweep9.json");
-  out << "{\n";
-  for (const auto& row : rows) {
-    out << "  \"workers" << row[0] << "_evac_done_ns\": " << row[1] << ",\n"
-        << "  \"workers" << row[0] << "_final_ns\": " << row[2] << ",\n";
-  }
-  out << "  \"planner_makespan_ns\": " << planner_makespan_ns << ",\n"
-      << "  \"sequential_makespan_ns\": " << sequential_makespan_ns << "\n";
-  out << "}\n";
-}
-
-int run_sweep9(bool json_only) {
-  std::cout << "\n9. Planned mass evacuation (5-site mesh, 1 Gbps / 5 ms metro edges,\n"
-               "   32 VMs drained off the source site by the wave planner):\n";
-  TextTable t9({"workers", "wall [ms]", "makespan [s]", "waves", "evacuated", "timeline"});
-  std::vector<std::array<std::int64_t, 3>> json_rows;
-  bool diverged = false;
-  MeshEvacResult baseline;
-  for (const int workers : {0, 1, 2, 4}) {
-    const auto r = run_mesh_evacuation(workers, /*sequential=*/false);
-    if (workers == 0) {
-      baseline = r;
-    }
-    diverged = diverged || r.final_ns != baseline.final_ns ||
-               r.evac_done_ns != baseline.evac_done_ns || r.waves != baseline.waves ||
-               r.evacuated != r.fleet || r.unconverged != 0;
-    t9.add_row({workers == 0 ? "0 (serial)" : std::to_string(workers),
-                TextTable::num(r.wall_ms, 2),
-                TextTable::num(static_cast<double>(r.makespan_ns) / 1e9, 3),
-                std::to_string(r.waves),
-                std::to_string(r.evacuated) + "/" + std::to_string(r.fleet),
-                r.final_ns == baseline.final_ns && r.evac_done_ns == baseline.evac_done_ns
-                    ? (workers == 0 ? "baseline" : "bit-identical")
-                    : "DIVERGED"});
-    json_rows.push_back({workers, r.evac_done_ns, r.final_ns});
-  }
-  const auto naive = run_mesh_evacuation(/*workers=*/0, /*sequential=*/true);
-  const bool planner_beats_sequential = baseline.makespan_ns < naive.makespan_ns;
-  diverged = diverged || !planner_beats_sequential || naive.evacuated != naive.fleet ||
-             naive.unconverged != 0;
-  if (!json_only) {
-    t9.render(std::cout);
-    std::cout << "Naive-sequential baseline: "
-              << TextTable::num(static_cast<double>(naive.makespan_ns) / 1e9, 3)
-              << " s; the batched plan "
-              << (planner_beats_sequential ? "wins" : "LOSES — GATE FAILED") << " ("
-              << TextTable::num(static_cast<double>(naive.makespan_ns) /
-                                    static_cast<double>(baseline.makespan_ns),
-                                2)
-              << "x). Every wave grant reads the live mesh and re-runs the max-min\n"
-                 "rate assignment, yet all inputs are deterministic functions of\n"
-                 "simulated state, so the whole evacuation lands at the same\n"
-                 "nanosecond at every worker count.\n";
-  }
-  write_sweep9_json(json_rows, baseline.makespan_ns, naive.makespan_ns);
-  return diverged ? 1 : 0;
-}
-
-// --- Sweep 10: SLO-visible migration under open-loop service load -----------
-
-struct ServiceSloResult {
-  std::int64_t final_ns = 0;
-  std::uint64_t digest = 0;
-  std::uint64_t generated = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t misses = 0;
-  std::int64_t p999_ns = 0;
-  std::int64_t blackout_ns = 0;
-  std::size_t unconverged = 0;
-  double wall_ms = 0.0;
-};
-
-ServiceSloResult run_service_slo(int workers) {
-  // CI-sized cousin of examples/live_service: 2 KV servers under 2 fleets
-  // of open-loop traffic, the loaded kv0 migrated onto a spare blade while
-  // its clients keep hammering it.
-  core::TestbedConfig config;
-  config.solve_workers = workers;
-  // Second (empty) shard: force the SolvePool on even at 0 workers so the
-  // sweep compares the pool's settle schedule against itself and measures
-  // parallelism alone (the legacy zero-delay path is a different — equally
-  // deterministic — same-instant event order; see DESIGN.md §10).
-  config.fluid_shards = 2;
-  core::Testbed testbed(config);
-
-  workloads::KvServiceConfig svc;
-  svc.replicas = 2;
-  svc.zipf_s = 0.7;
-  svc.service_core_seconds = 1.0e-3;
-  svc.worker_threads = 4;
-  svc.deadline = Duration::millis(15);
-  svc.write_fraction = 0.25;
-  svc.value_bytes = Bytes::kib(8);
-  workloads::KvService service(testbed, svc);
-
-  std::vector<std::shared_ptr<vmm::Vm>> vms;
-  for (int i = 0; i < 2; ++i) {
-    vmm::VmSpec spec;
-    spec.name = "kv" + std::to_string(i);
-    spec.memory = Bytes::mib(192);
-    spec.base_os_footprint = Bytes::mib(64);
-    vms.push_back(testbed.boot_vm(testbed.eth_host(i), spec, /*with_hca=*/false));
-    service.add_server(vms.back());
-  }
-  for (int i = 0; i < 2; ++i) {
-    workloads::ClientFleetConfig fleet;
-    fleet.name = "fleet" + std::to_string(i);
-    fleet.rate_per_sec = 600.0;
-    fleet.window = Duration::seconds(3);
-    service.add_fleet(testbed.ib_host(i), fleet);
-  }
-  testbed.settle();
-
-  core::ServiceEpisode episode(testbed.sim());
-  service.observe_migration(&episode.live());
-  service.start();
-  (void)episode.start(
-      core::EpisodeSpec(vms[0], testbed.eth_host(2)).after(Duration::millis(500)));
-
-  const auto start = std::chrono::steady_clock::now();
-  const TimePoint end = testbed.sim().run_for(Duration::seconds(23));
-  ServiceSloResult res;
-  res.wall_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
-          .count();
-  res.final_ns = end.count_nanos();
-  res.digest = service.digest();
-  res.generated = service.generated();
-  res.completed = service.completed();
-  res.misses = service.deadline_misses();
-  res.p999_ns = service.overall().percentile(0.999).count_nanos();
-  if (episode.done()) {
-    res.blackout_ns = episode.report().blackout.count_nanos();
-  }
-  res.unconverged = testbed.unconverged_exchange_count();
-  return res;
-}
-
-void write_sweep10_json(const std::vector<std::array<std::int64_t, 2>>& rows,
-                        const ServiceSloResult& baseline) {
-  std::ofstream out("BENCH_scalability_sweep10.json");
-  out << "{\n";
-  for (const auto& row : rows) {
-    out << "  \"workers" << row[0] << "_final_ns\": " << row[1] << ",\n";
-  }
-  out << "  \"service_digest\": " << baseline.digest << ",\n"
-      << "  \"requests\": " << baseline.generated << ",\n"
-      << "  \"deadline_misses\": " << baseline.misses << ",\n"
-      << "  \"p999_ns\": " << baseline.p999_ns << ",\n"
-      << "  \"blackout_ns\": " << baseline.blackout_ns << "\n";
-  out << "}\n";
-}
-
-int run_sweep10(bool json_only) {
-  // Overall p999 ceiling: steady-state p999 in this scenario is ~6 ms; the
-  // blackout cohort tops out around the ~20 ms pause. 50 ms of headroom
-  // means the gate only trips on a real queueing regression.
-  constexpr std::int64_t kP999CeilingNs = 50'000'000;
-  std::cout << "\n10. Open-loop KV service under migration (2 servers, 1,200 req/s,\n"
-               "    kv0 migrated at t=0.5 s while serving):\n";
-  TextTable t10({"workers", "wall [ms]", "req/s (wall)", "requests", "p999 [ms]",
-                 "blackout [ms]", "timeline"});
-  std::vector<std::array<std::int64_t, 2>> json_rows;
-  // Best-of over *throughput*: larger is better — the direction parameter
-  // this sweep exists to exercise (a latency-style min would report the
-  // slowest run as the best).
-  BestOf throughput(BestOf::Direction::kLargerIsBetter);
-  bool diverged = false;
-  ServiceSloResult baseline;
-  for (const int workers : {0, 1, 2, 4}) {
-    const auto r = run_service_slo(workers);
-    if (workers == 0) {
-      baseline = r;
-    }
-    diverged = diverged || r.final_ns != baseline.final_ns || r.digest != baseline.digest ||
-               r.completed != r.generated || r.p999_ns > kP999CeilingNs ||
-               r.blackout_ns <= 0 || r.unconverged != 0;
-    const double rps = static_cast<double>(r.completed) / (r.wall_ms / 1000.0);
-    throughput.add(rps);
-    t10.add_row({workers == 0 ? "0 (serial)" : std::to_string(workers),
-                 TextTable::num(r.wall_ms, 2), TextTable::num(rps, 0),
-                 std::to_string(r.completed) + "/" + std::to_string(r.generated),
-                 TextTable::num(static_cast<double>(r.p999_ns) / 1e6, 2),
-                 TextTable::num(static_cast<double>(r.blackout_ns) / 1e6, 2),
-                 r.final_ns == baseline.final_ns && r.digest == baseline.digest
-                     ? (workers == 0 ? "baseline" : "bit-identical")
-                     : "DIVERGED"});
-    NM_CHECK(throughput.best() >= rps,
-             "BestOf(kLargerIsBetter) returned a non-maximal throughput");
-    json_rows.push_back({workers, r.final_ns});
-  }
-  if (!json_only) {
-    t10.render(std::cout);
-    std::cout << "Every request is real fabric traffic competing with the migration\n"
-              << "stream, yet arrivals are pre-drawn and pinned to absolute instants,\n"
-              << "so the whole service timeline lands bit-identically at every worker\n"
-              << "count. Best wall throughput: " << TextTable::num(throughput.best(), 0)
-              << " req/s (spread " << TextTable::num(throughput.spread(), 0) << ").\n";
-  }
-  write_sweep10_json(json_rows, baseline);
-  return diverged ? 1 : 0;
-}
-
-// --- Sweep 11: oversubscribed Clos evacuation, leaf-aware vs blind ----------
-
-struct ClosEvacResult {
-  std::int64_t final_ns = 0;
-  std::int64_t evac_done_ns = 0;
-  std::int64_t makespan_ns = 0;
-  int waves = 0;
-  std::size_t evacuated = 0;
-  std::size_t fleet = 0;
-  std::size_t unconverged = 0;
-  double wall_ms = 0.0;
-};
-
-ClosEvacResult run_clos_evacuation(int workers, bool topology_blind) {
-  // CI-sized cousin of `examples/mass_evacuation`'s Clos scenario: dc0
-  // drains 12 hosts racked 4-per-leaf under three 4:1-oversubscribed
-  // leaves into two 2-leaf 2:1 refuges. Equal VM sizes make the blind
-  // big-first order equal the boot order, so a topology-blind first wave
-  // piles onto leaf 0's single 1.25 GB/s uplink while the leaf-aware
-  // planner spreads sources across racks and caps refuge-leaf incast.
-  constexpr double kStreamCap = 500e6;  // bytes/s per migration thread
-  core::FederationConfig fcfg;
-  core::TestbedConfig source;
-  source.ib_nodes = 0;
-  source.eth_nodes = 12;
-  source.clos.leaves = 3;
-  source.clos.spines = 1;
-  source.clos.hosts_per_leaf = 4;
-  source.clos.oversubscription = 4.0;  // leaf uplink 1.25 GB/s vs 5 GB/s of hosts
-  source.migration.thread_send_rate = kStreamCap;
-  core::TestbedConfig refuge;
-  refuge.ib_nodes = 0;
-  refuge.eth_nodes = 4;
-  refuge.clos.leaves = 2;
-  refuge.clos.spines = 1;
-  refuge.clos.hosts_per_leaf = 2;
-  refuge.clos.oversubscription = 2.0;  // two 500 MB/s incast slots per leaf
-  refuge.migration.thread_send_rate = kStreamCap;
-  fcfg.sites = {{"dc0", source}, {"dc1", refuge}, {"dc2", refuge}};
-  sim::WanLinkConfig wan;
-  wan.line_rate = Bandwidth::gbps(40);
-  wan.rtt = Duration::millis(5);
-  wan.loss = 0.00001;
-  fcfg.edges = {{0, 1, wan}, {0, 2, wan}};
-  fcfg.uplink_rate = Bandwidth::gbps(100);  // WAN gateways are not the story
-  fcfg.solve_workers = workers;
-  core::Federation fed(fcfg);
-
-  ClosEvacResult res;
-  auto& src = fed.site(0);
-  for (int h = 0; h < src.eth_host_count(); ++h) {
-    for (int v = 0; v < 2; ++v) {
-      vmm::VmSpec spec;
-      spec.name = "vm" + std::to_string(h) + "_" + std::to_string(v);
-      spec.memory = Bytes::gib(1);
-      spec.base_os_footprint = Bytes::mib(128);
-      auto vm = src.boot_vm(src.eth_host(h), spec, /*with_hca=*/false);
-      vm->memory().write_data(Bytes::mib(128), Bytes::mib(768));
-      ++res.fleet;
-    }
-  }
-  fed.settle();
-
-  core::EvacuationConfig ecfg;
-  ecfg.source_site = 0;
-  ecfg.topology_blind = topology_blind;
-  ecfg.planner.stream_rate_cap = kStreamCap;
-  core::MassEvacuation evac(fed, ecfg);
-  core::EvacuationReport report;
-  const auto start = std::chrono::steady_clock::now();
-  fed.sim().spawn(evac.run(&report), "clos-evac");
-  res.final_ns = fed.sim().run().count_nanos();
-  res.wall_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
-          .count();
-  res.evac_done_ns = report.done_ns;
-  res.makespan_ns = report.done_ns - report.started_ns;
-  res.waves = report.waves;
-  res.evacuated = report.evacuated;
-  res.unconverged = fed.unconverged_exchange_count();
-  return res;
-}
-
-void write_sweep11_json(const std::vector<std::array<std::int64_t, 3>>& rows,
-                        std::int64_t aware_makespan_ns, std::int64_t blind_makespan_ns) {
-  std::ofstream out("BENCH_scalability_sweep11.json");
-  out << "{\n";
-  for (const auto& row : rows) {
-    out << "  \"workers" << row[0] << "_evac_done_ns\": " << row[1] << ",\n"
-        << "  \"workers" << row[0] << "_final_ns\": " << row[2] << ",\n";
-  }
-  out << "  \"aware_makespan_ns\": " << aware_makespan_ns << ",\n"
-      << "  \"blind_makespan_ns\": " << blind_makespan_ns << "\n";
-  out << "}\n";
-}
-
-int run_sweep11(bool json_only) {
-  std::cout << "\n11. Oversubscribed Clos evacuation (3x4:1 source leaves, 2-leaf 2:1\n"
-               "    refuges, 24 VMs; leaf-aware planner vs topology-blind):\n";
-  TextTable t11({"workers", "wall [ms]", "makespan [s]", "waves", "evacuated",
-                 "timeline"});
-  std::vector<std::array<std::int64_t, 3>> json_rows;
-  bool diverged = false;
-  ClosEvacResult baseline;
-  for (const int workers : {0, 1, 2, 4}) {
-    const auto r = run_clos_evacuation(workers, /*topology_blind=*/false);
-    if (workers == 0) {
-      baseline = r;
-    }
-    diverged = diverged || r.final_ns != baseline.final_ns ||
-               r.evac_done_ns != baseline.evac_done_ns || r.waves != baseline.waves ||
-               r.evacuated != r.fleet || r.unconverged != 0;
-    t11.add_row({workers == 0 ? "0 (serial)" : std::to_string(workers),
-                 TextTable::num(r.wall_ms, 2),
-                 TextTable::num(static_cast<double>(r.makespan_ns) / 1e9, 3),
-                 std::to_string(r.waves),
-                 std::to_string(r.evacuated) + "/" + std::to_string(r.fleet),
-                 r.final_ns == baseline.final_ns && r.evac_done_ns == baseline.evac_done_ns
-                     ? (workers == 0 ? "baseline" : "bit-identical")
-                     : "DIVERGED"});
-    json_rows.push_back({workers, r.evac_done_ns, r.final_ns});
-  }
-  const auto blind = run_clos_evacuation(/*workers=*/0, /*topology_blind=*/true);
-  const bool aware_never_worse = baseline.makespan_ns <= blind.makespan_ns;
-  diverged = diverged || !aware_never_worse || blind.evacuated != blind.fleet ||
-             blind.unconverged != 0;
-  if (!json_only) {
-    t11.render(std::cout);
-    std::cout << "Topology-blind baseline: "
-              << TextTable::num(static_cast<double>(blind.makespan_ns) / 1e9, 3)
-              << " s; the leaf-aware plan "
-              << (aware_never_worse ? "wins" : "LOSES — GATE FAILED") << " ("
-              << TextTable::num(static_cast<double>(blind.makespan_ns) /
-                                    static_cast<double>(baseline.makespan_ns),
-                                2)
-              << "x). Wave grants re-run the leaf-aware max-min against the live\n"
-                 "fabric, ECMP picks are salted-hash deterministic, and the whole\n"
-                 "evacuation lands at the same nanosecond at every worker count.\n";
-  }
-  write_sweep11_json(json_rows, baseline.makespan_ns, blind.makespan_ns);
-  return diverged ? 1 : 0;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  // `--sweep7` runs only the cross-domain sweep and emits its JSON digest
-  // (BENCH_scalability_sweep7.json); CI diffs it against the committed
-  // baseline. Exit code 1 on timeline divergence or unconverged exchange.
-  if (argc > 1 && std::strcmp(argv[1], "--sweep7") == 0) {
-    return run_sweep7(/*json_only=*/true);
-  }
-  // `--sweep8` likewise: only the federated evacuation, with its digest in
-  // BENCH_scalability_sweep8.json.
-  if (argc > 1 && std::strcmp(argv[1], "--sweep8") == 0) {
-    return run_sweep8(/*json_only=*/true);
-  }
-  // `--sweep9` likewise: only the planned mass evacuation, with its digest
-  // in BENCH_scalability_sweep9.json.
-  if (argc > 1 && std::strcmp(argv[1], "--sweep9") == 0) {
-    return run_sweep9(/*json_only=*/true);
-  }
-  // `--sweep10` likewise: only the service-under-migration SLO run, with
-  // its digest in BENCH_scalability_sweep10.json.
-  if (argc > 1 && std::strcmp(argv[1], "--sweep10") == 0) {
-    return run_sweep10(/*json_only=*/true);
-  }
-  // `--sweep11` likewise: only the oversubscribed Clos evacuation, with
-  // its digest in BENCH_scalability_sweep11.json.
-  if (argc > 1 && std::strcmp(argv[1], "--sweep11") == 0) {
-    return run_sweep11(/*json_only=*/true);
-  }
+int main() {
   bench::print_header("Scalability", "episode cost sweeps (paper SS V discussion)");
 
   std::cout << "\n1. VM count (1 VM per destination host, 8 GiB guests):\n";
@@ -1055,14 +335,5 @@ int main(int argc, char** argv) {
                "stays bit-identical to the serial drain at every worker count.\n"
                "Speedup tracks min(pods, cores); on a 1-core host the pool only\n"
                "adds handoff overhead — the determinism column is the invariant.\n";
-  const int sweep7 = run_sweep7(/*json_only=*/false);
-  const int sweep8 = run_sweep8(/*json_only=*/false);
-  const int sweep9 = run_sweep9(/*json_only=*/false);
-  const int sweep10 = run_sweep10(/*json_only=*/false);
-  const int sweep11 = run_sweep11(/*json_only=*/false);
-  return sweep7 != 0   ? sweep7
-         : sweep8 != 0 ? sweep8
-         : sweep9 != 0 ? sweep9
-         : sweep10 != 0 ? sweep10
-                        : sweep11;
+  return 0;
 }

@@ -1,12 +1,16 @@
 // Shared helpers for the reproduction benches: headers, paper-vs-measured
-// tables, and stacked-bar rendering of overhead breakdowns.
+// tables, and the isolated pods the multi-domain scenarios build.
 #pragma once
 
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/testbed.h"
+#include "hw/cluster.h"
+#include "net/port.h"
+#include "sim/fluid.h"
 #include "util/table.h"
 
 namespace nm::bench {
@@ -36,6 +40,29 @@ inline void print_compare(const std::string& metric, const std::vector<CompareRo
                    row.paper > 0 ? TextTable::num(ratio) : "-"});
   }
   table.render(std::cout);
+}
+
+/// An isolated pod: a cluster whose nodes each own one 10 GiB/s NIC port.
+struct Pod {
+  std::unique_ptr<hw::Cluster> cluster;
+  std::vector<std::unique_ptr<net::NicPort>> ports;
+};
+
+/// Builds pod `p` (`node_count` nodes + NIC ports) entirely inside
+/// `domain`. Pure resource registration: no simulation posts, so pods on
+/// distinct domains can be built from distinct threads.
+inline Pod build_pod(sim::FluidDomain& domain, int p, int node_count) {
+  Pod pod;
+  pod.cluster = std::make_unique<hw::Cluster>("pod" + std::to_string(p));
+  pod.ports.reserve(static_cast<std::size_t>(node_count));
+  for (int n = 0; n < node_count; ++n) {
+    hw::NodeSpec spec;
+    spec.name = "pod" + std::to_string(p) + ":n" + std::to_string(n);
+    auto& node = pod.cluster->add_node(domain, spec);
+    pod.ports.push_back(std::make_unique<net::NicPort>(node, spec.name + ":eth",
+                                                       Bandwidth::gib_per_sec(10.0)));
+  }
+  return pod;
 }
 
 }  // namespace nm::bench

@@ -18,7 +18,7 @@
 // downtime respects MigrationConfig::max_downtime. All inputs to a grant
 // are deterministic functions of simulated state at that instant, so
 // evacuation timelines are bit-identical at every solve-worker count
-// (pinned by wan_federation_test and bench_scalability sweep 9).
+// (pinned by wan_federation_test and bench_gate's sweep9 row).
 #pragma once
 
 #include <cstdint>

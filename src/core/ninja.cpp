@@ -150,12 +150,6 @@ NinjaMigrator::NinjaMigrator(sim::Simulation& sim, mpi::MpiRuntime& runtime, Nin
   config_.policies.bind_seed(config_.seed);
 }
 
-NinjaMigrator::NinjaMigrator(sim::Simulation& sim, mpi::MpiRuntime& runtime,
-                             vmm::Monitor::HostResolver resolver,
-                             symvirt::CoordinatorTiming timing)
-    : NinjaMigrator(sim, runtime,
-                    NinjaConfig{.resolver = std::move(resolver), .timing = timing}) {}
-
 void NinjaMigrator::install_coordinator() { coordinator_.install(*runtime_); }
 
 sim::Task NinjaMigrator::execute(MigrationPlan plan, NinjaStats* stats_out) {

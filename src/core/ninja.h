@@ -95,20 +95,6 @@ class NinjaMigrator {
  public:
   NinjaMigrator(sim::Simulation& sim, mpi::MpiRuntime& runtime, NinjaConfig config);
 
-  /// Deprecated shim (one PR): forwards to the NinjaConfig constructor
-  /// with default (static) policies.
-  [[deprecated("build a NinjaConfig{resolver, timing, policies, ...} instead")]]
-  NinjaMigrator(sim::Simulation& sim, mpi::MpiRuntime& runtime,
-                vmm::Monitor::HostResolver resolver,
-                symvirt::CoordinatorTiming timing = {});
-
-  /// Compile guard for near-misses of the removed signature: anything
-  /// after the timing argument can only be policy state, which belongs in
-  /// NinjaConfig.
-  template <typename... Args>
-  NinjaMigrator(sim::Simulation&, mpi::MpiRuntime&, vmm::Monitor::HostResolver,
-                symvirt::CoordinatorTiming, Args&&...) = delete;
-
   /// Installs the SymVirt coordinator as the job's SELF callbacks.
   void install_coordinator();
   [[nodiscard]] symvirt::Coordinator& coordinator() { return coordinator_; }

@@ -26,11 +26,6 @@ sim::TaskRef ServiceEpisode::start(EpisodeSpec spec) {
   return ref_;
 }
 
-sim::TaskRef ServiceEpisode::start(std::shared_ptr<vmm::Vm> vm, vmm::Host& dst,
-                                   Duration delay) {
-  return start(EpisodeSpec(std::move(vm), dst).after(delay));
-}
-
 bool ServiceEpisode::done() const { return ref_.valid() && ref_.done(); }
 
 sim::Task ServiceEpisode::run(EpisodeSpec spec) {

@@ -91,17 +91,6 @@ class ServiceEpisode {
   /// while one is still in flight fails loudly.
   sim::TaskRef start(EpisodeSpec spec);
 
-  /// Deprecated shim (one PR): `start({vm, dst}.after(delay))` with
-  /// default (static) policies.
-  [[deprecated("build an EpisodeSpec{vm, dst}.after(delay) instead")]]
-  sim::TaskRef start(std::shared_ptr<vmm::Vm> vm, vmm::Host& dst, Duration delay);
-
-  /// Compile guard for near-misses of the removed signature: extra
-  /// arguments after the delay can only be policy state, which belongs in
-  /// the EpisodeSpec.
-  template <typename... Args>
-  sim::TaskRef start(std::shared_ptr<vmm::Vm>, vmm::Host&, Duration, Args&&...) = delete;
-
   /// The live stats object the migration engine mirrors into per chunk —
   /// hand this to KvService::observe_migration before the episode starts.
   [[nodiscard]] const vmm::MigrationStats& live() const { return live_; }

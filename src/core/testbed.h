@@ -19,7 +19,6 @@
 #include "sim/fluid.h"
 #include "sim/fluid_net.h"
 #include "sim/simulation.h"
-#include "sim/solve_pool.h"
 #include "vmm/host.h"
 #include "vmm/storage.h"
 
@@ -100,9 +99,6 @@ class Testbed {
   }
   [[nodiscard]] std::size_t domain_count() const { return net_->domain_count(); }
   [[nodiscard]] sim::FluidDomain& domain(std::size_t i) { return net_->domain(i); }
-  /// The parallel settle pool; nullptr for a single-domain, zero-worker
-  /// testbed (which settles via the legacy zero-delay path).
-  [[nodiscard]] sim::SolvePool* solve_pool() { return net_->pool(); }
   [[nodiscard]] net::IbFabric& ib_fabric() { return *ib_fabric_; }
   [[nodiscard]] net::EthFabric& eth_fabric() { return *eth_fabric_; }
   /// The intra-site Clos topology behind the Ethernet fabric; nullptr for
@@ -117,17 +113,6 @@ class Testbed {
   [[nodiscard]] sim::FluidDomain& zone_domain() { return net_->domain(zone_index_); }
   /// "<site>:" under a federation, empty standalone.
   [[nodiscard]] const std::string& name_prefix() const { return prefix_; }
-
-  /// Boundary-exchange visibility (DESIGN.md §6/§7): cumulative exchange
-  /// rounds, settles that hit the round-cap safety valve (should stay 0),
-  /// and the worst rounds a single settle needed.
-  [[nodiscard]] std::size_t exchange_round_count() const { return net_->exchange_round_count(); }
-  [[nodiscard]] std::size_t unconverged_exchange_count() const {
-    return net_->unconverged_exchange_count();
-  }
-  [[nodiscard]] std::size_t max_exchange_rounds_per_settle() const {
-    return net_->max_exchange_rounds_per_settle();
-  }
 
   [[nodiscard]] int ib_host_count() const { return config_.ib_nodes; }
   [[nodiscard]] int eth_host_count() const { return config_.eth_nodes; }

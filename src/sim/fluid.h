@@ -312,15 +312,6 @@ class FluidScheduler : public FlowRouter {
   FlowPtr start(FlowSpec spec) override;
   using FlowRouter::run;
 
-  // Compile-time guard: the legacy start/run(work, shares-or-resources,
-  // max_rate) shims served their one-PR deprecation window and were removed.
-  // Any resurrected call site trips these deleted overloads instead of
-  // silently re-growing the old surface — build the FlowSpec instead.
-  template <typename... Args>
-  FlowPtr start(double, Args&&...) = delete;
-  template <typename... Args>
-  Task run(double, Args&&...) = delete;
-
   [[nodiscard]] std::size_t active_flow_count() const { return flows_.size(); }
   /// Number of connected flow/resource components currently tracked.
   [[nodiscard]] std::size_t component_count() const;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "core/job.h"
@@ -209,16 +210,20 @@ TEST(MpiRuntime, ApiMisuseChecks) {
 }
 
 // Parameterized: p2p works for every (cluster, payload) combination.
+// gtest prints the parameter's raw bytes into each test name, so the case
+// must have no padding: with a bool `ib`, seven uninitialised padding bytes
+// made the names differ from run to run. `ib` is 0 (Ethernet) or 1 (IB).
 struct P2pCase {
-  bool ib;
+  std::uint64_t ib;
   std::uint64_t kib;
 };
+static_assert(std::has_unique_object_representations_v<P2pCase>);
 class MpiP2pMatrix : public ::testing::TestWithParam<P2pCase> {};
 
 TEST_P(MpiP2pMatrix, RoundTripCompletes) {
   const auto param = GetParam();
   Testbed tb;
-  MpiJob job(tb, small_job(2, 1, param.ib));
+  MpiJob job(tb, small_job(2, 1, param.ib != 0));
   job.init();
   MessageInfo echo;
   job.launch([&job, &echo, param](RankId me) -> sim::Task {

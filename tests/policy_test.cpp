@@ -147,7 +147,6 @@ TEST(PolicyUnit, PolicySetRoutesPerHookAndDescribes) {
 enum class Variant {
   kDefault,        // PolicySet{} (implicit static)
   kStatic,         // explicit StaticPolicy at every hook
-  kLegacyShim,     // deprecated start(vm, dst, delay) signature
   kSloThrottle,    // SloThrottlePolicy at kPreCopyRound
   kQuietPause,     // QuietPausePolicy at kPauseDecision
   kDestSwap,       // DestinationSwapPolicy at kEpisodeStart (+ alternate)
@@ -203,45 +202,38 @@ RunOutcome run_scenario(int solve_workers, Variant variant) {
   service.observe_migration(&episode.live());
   service.start();
 
-  if (variant == Variant::kLegacyShim) {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    (void)episode.start(vms[0], testbed.eth_host(2), Duration::millis(300));
-#pragma GCC diagnostic pop
-  } else {
-    core::EpisodeSpec spec(vms[0], testbed.eth_host(2));
-    spec.after(Duration::millis(300)).observe(service.observation_source());
-    policy::PolicySet policies;
-    switch (variant) {
-      case Variant::kStatic:
-        policies.use(std::make_shared<policy::StaticPolicy>());
-        break;
-      case Variant::kSloThrottle:
-        policies.use(policy::Hook::kPreCopyRound,
-                     std::make_shared<policy::SloThrottlePolicy>());
-        break;
-      case Variant::kQuietPause:
-        policies.use(policy::Hook::kPauseDecision,
-                     std::make_shared<policy::QuietPausePolicy>());
-        break;
-      case Variant::kDestSwap:
-        spec.or_to(testbed.eth_host(3));
-        policies.use(policy::Hook::kEpisodeStart,
-                     std::make_shared<policy::DestinationSwapPolicy>());
-        break;
-      case Variant::kBlackoutShed: {
-        policy::PolicySet admission;
-        admission.use(policy::Hook::kAdmission,
-                      std::make_shared<policy::BlackoutShedPolicy>());
-        service.set_admission(std::move(admission), config.seed);
-        break;
-      }
-      default:
-        break;
+  core::EpisodeSpec spec(vms[0], testbed.eth_host(2));
+  spec.after(Duration::millis(300)).observe(service.observation_source());
+  policy::PolicySet policies;
+  switch (variant) {
+    case Variant::kStatic:
+      policies.use(std::make_shared<policy::StaticPolicy>());
+      break;
+    case Variant::kSloThrottle:
+      policies.use(policy::Hook::kPreCopyRound,
+                   std::make_shared<policy::SloThrottlePolicy>());
+      break;
+    case Variant::kQuietPause:
+      policies.use(policy::Hook::kPauseDecision,
+                   std::make_shared<policy::QuietPausePolicy>());
+      break;
+    case Variant::kDestSwap:
+      spec.or_to(testbed.eth_host(3));
+      policies.use(policy::Hook::kEpisodeStart,
+                   std::make_shared<policy::DestinationSwapPolicy>());
+      break;
+    case Variant::kBlackoutShed: {
+      policy::PolicySet admission;
+      admission.use(policy::Hook::kAdmission,
+                    std::make_shared<policy::BlackoutShedPolicy>());
+      service.set_admission(std::move(admission), config.seed);
+      break;
     }
-    spec.with(std::move(policies), config.seed);
-    (void)episode.start(std::move(spec));
+    default:
+      break;
   }
+  spec.with(std::move(policies), config.seed);
+  (void)episode.start(std::move(spec));
 
   testbed.sim().run_for(Duration::seconds(20));
 
@@ -285,10 +277,6 @@ TEST(PolicyGolden, DefaultPolicySetReproducesPreRefactorTimeline) {
 
 TEST(PolicyGolden, ExplicitStaticPolicyReproducesPreRefactorTimeline) {
   expect_golden(run_scenario(0, Variant::kStatic), "explicit StaticPolicy");
-}
-
-TEST(PolicyGolden, DeprecatedShimReproducesPreRefactorTimeline) {
-  expect_golden(run_scenario(0, Variant::kLegacyShim), "deprecated start() shim");
 }
 
 class PolicyDeterminism : public ::testing::TestWithParam<Variant> {};

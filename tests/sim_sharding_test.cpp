@@ -363,7 +363,7 @@ TEST(Sharding, BladeDomainTestbedRegistersBoundaryFlows) {
   EXPECT_EQ(tb.domain_count(), 3u);
   EXPECT_EQ(tb.domain_of(tb.ib_host(0).node().cpu()), &tb.domain(1));
   EXPECT_EQ(tb.domain_of(tb.ib_host(1).node().cpu()), &tb.domain(2));
-  ASSERT_NE(tb.solve_pool(), nullptr);
+  ASSERT_NE(tb.net().pool(), nullptr);
 
   auto vm0 = tb.boot_vm(tb.ib_host(0), [] {
     vmm::VmSpec s;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <vector>
 
@@ -334,6 +335,72 @@ TEST(Determinism, Fig6MemtestDigestPinnedToSeed) {
         << "Fig 6 hotplug drifted from the seed: array=" << c.array.count();
     EXPECT_EQ(got.linkup_ns, c.seed.linkup_ns)
         << "Fig 6 link-up drifted from the seed: array=" << c.array.count();
+  }
+}
+
+// Replicates bench_fig7_npb's "proposed" run: one IB -> IB Ninja migration
+// with HCA re-attach issued 3 min into each class-D kernel on 8 VMs x 8
+// ranks, run to quiescence. The bench prints two decimals; this pins rank
+// 0's elapsed time and the Ninja episode total to the nanosecond, at the
+// values perfbench's npb_ninja_episode workload checks at seed 1.
+struct Fig7Digest {
+  std::int64_t elapsed_ns;
+  std::int64_t episode_ns;
+};
+
+Fig7Digest run_fig7_case(const workloads::NpbSpec& spec) {
+  TestbedConfig tcfg;
+  tcfg.hotplug.noise_factor = 3.0;
+  Testbed tb(tcfg);
+  JobConfig cfg;
+  cfg.name = spec.name;
+  cfg.vm_count = 8;
+  cfg.ranks_per_vm = 8;
+  MpiJob job(tb, cfg);
+  job.init();
+
+  workloads::NpbResult r0;
+  job.launch([&job, spec, &r0](mpi::RankId me) -> sim::Task {
+    co_await workloads::run_npb_rank(job, me, spec, me == 0 ? &r0 : nullptr);
+  });
+
+  MigrationPlan plan;
+  plan.vms = job.vms();
+  for (int i = 0; i < 8; ++i) {
+    plan.destinations.push_back(tb.ib_host((i + 1) % 8).name());
+  }
+  plan.attach_host_pci = Testbed::kHcaPciAddr;
+  plan.ranks_per_vm = 8;
+
+  NinjaStats stats;
+  tb.sim().spawn([](Testbed& t, MpiJob& j, MigrationPlan p, NinjaStats& st) -> sim::Task {
+    co_await t.sim().delay(Duration::minutes(3));
+    co_await j.ninja().execute(std::move(p), &st);
+  }(tb, job, plan, stats));
+  tb.sim().run();
+  return Fig7Digest{r0.elapsed.count_nanos(), stats.total.count_nanos()};
+}
+
+TEST(Determinism, Fig7NpbPinnedToSeed) {
+  struct Case {
+    const char* kernel;
+    Fig7Digest seed;
+  };
+  const Case cases[] = {
+      {"BT", {977821304985, 114252328262}},
+      {"CG", {819783924231, 97186063008}},
+      {"FT", {730750173588, 187232931799}},
+      {"LU", {886523720058, 105470584282}},
+  };
+  const auto suite = workloads::npb_class_d_suite();
+  ASSERT_EQ(suite.size(), std::size(cases));
+  for (std::size_t k = 0; k < suite.size(); ++k) {
+    ASSERT_EQ(suite[k].name, cases[k].kernel);
+    const Fig7Digest got = run_fig7_case(suite[k]);
+    EXPECT_EQ(got.elapsed_ns, cases[k].seed.elapsed_ns)
+        << "Fig 7 rank-0 elapsed drifted from the seed: " << suite[k].name;
+    EXPECT_EQ(got.episode_ns, cases[k].seed.episode_ns)
+        << "Fig 7 Ninja total drifted from the seed: " << suite[k].name;
   }
 }
 

@@ -951,7 +951,7 @@ TEST(WanFederation, MeshEvacuationTimelineBitIdenticalAcrossWorkerCounts) {
   }
   // The planner's concurrent waves beat the one-at-a-time baseline on the
   // same mesh (the full-size gate lives in examples/mass_evacuation and
-  // bench_scalability sweep 9; this pins the miniature version).
+  // bench_gate's sweep9 row; this pins the miniature version).
   const EvacTimeline naive = run_mesh_evacuation(0, /*sequential=*/true);
   EXPECT_EQ(naive.evacuated, 6u);
   EXPECT_LT(base.makespan_ns, naive.makespan_ns);
