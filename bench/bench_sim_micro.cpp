@@ -181,6 +181,56 @@ void BM_FluidRebalanceMultiHost(benchmark::State& state) {
 }
 BENCHMARK(BM_FluidRebalanceMultiHost)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
 
+// The KV service's hot component, in the shape measured on the live-migration
+// workload: 28 vCPU compute flows capped at 1.0 core over 4 vcpu/host-cpu
+// pairs, plus 3 transfers out of host 0 that share its CPU (charged per byte)
+// and NIC. Every solve is capped and takes several filling rounds, unlike the
+// uncapped single-resource rounds of BM_FluidRebalance. Each iteration admits
+// one short transfer and runs until it completes: one admission and one
+// completion solve.
+void BM_FluidHotComponent(benchmark::State& state) {
+  constexpr int kHosts = 4;
+  constexpr int kComputePerHost = 7;
+  constexpr double kCpuPerByte = 1e-9;
+  sim::Simulation sim;
+  sim::FluidScheduler sched(sim);
+  std::vector<std::unique_ptr<sim::FluidResource>> vcpu;
+  std::vector<std::unique_ptr<sim::FluidResource>> cpu;
+  std::vector<std::unique_ptr<sim::FluidResource>> rx;
+  for (int h = 0; h < kHosts; ++h) {
+    const std::string tag = std::to_string(h);
+    vcpu.push_back(std::make_unique<sim::FluidResource>(sched, "vcpu" + tag, 8.0));
+    cpu.push_back(std::make_unique<sim::FluidResource>(sched, "cpu" + tag, 8.0));
+    rx.push_back(std::make_unique<sim::FluidResource>(sched, "rx" + tag, 1.25e9));
+  }
+  sim::FluidResource tx(sched, "tx0", 1.25e9);
+  const auto transfer = [&](double bytes, int dst) {
+    return sim::FlowSpec{.work = bytes}
+        .over(tx)
+        .over(*rx[dst])
+        .over(*cpu[0], kCpuPerByte)
+        .over(*cpu[dst], kCpuPerByte);
+  };
+  std::vector<sim::FlowPtr> background;
+  for (int h = 0; h < kHosts; ++h) {
+    for (int i = 0; i < kComputePerHost; ++i) {
+      background.push_back(
+          sched.start(sim::FlowSpec{.work = 1e12, .max_rate = 1.0}.over(*vcpu[h]).over(*cpu[h])));
+    }
+  }
+  background.push_back(sched.start(transfer(1e18, 1)));
+  background.push_back(sched.start(transfer(1e18, 2)));
+  sim.run_for(Duration::millis(1));
+  const double bytes = static_cast<double>(state.range(0));
+  for (auto _ : state) {
+    auto flow = sched.start(transfer(bytes, 3));
+    sim.run_for(Duration::millis(1));  // ~0.2 ms at the shared CPU's level
+    benchmark::DoNotOptimize(flow->finished());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FluidHotComponent)->Arg(64 << 10);
+
 // Exchange-aware batching guard: a depth-D domain chain with a tight head
 // resource, slack middle resources soaked by local load, and one boundary
 // flow spanning the whole chain. Every head-capacity toggle moves all the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <iterator>
 #include <sstream>
 #include <utility>
@@ -179,7 +178,6 @@ void FluidScheduler::unregister_resource(FluidResource& res) {
     if (it != rs.end()) {
       *it = rs.back();
       rs.pop_back();
-      ++comp->admission_gen;  // local resource indices shifted
     }
   }
   slot_comp_[slot] = kNone;
@@ -221,7 +219,14 @@ FlowPtr FluidScheduler::start(FlowSpec spec) {
     return flow;
   }
   for (const auto& share : flow->shares_) {
-    ++share.resource->active_flows_;
+    auto& list = share.resource->flows_;
+    if (list.capacity() == 0) {
+      // One allocation covers the usual list lengths (a host CPU's vCPU
+      // flows, a NIC's transfers); growing from one entry would allocate at
+      // 1, 2, 4 and 8 entries on every freshly built resource.
+      list.reserve(8);
+    }
+    list.push_back(flow.get());
     share.resource->active_wsum_ += share.weight;
   }
   flow->global_index_ = static_cast<std::uint32_t>(flows_.size());
@@ -257,7 +262,6 @@ FlowPtr FluidScheduler::start(FlowSpec spec) {
   flow->comp_ = target->id;
   flow->comp_index_ = static_cast<std::uint32_t>(target->flows.size());
   target->flows.push_back(flow.get());
-  ++target->admission_gen;
   mark_dirty(*target);
   return flow;
 }
@@ -308,7 +312,6 @@ void FluidScheduler::merge_into(Component& dst, Component& src) {
     slot_comp_[slot] = dst.id;
     dst.res_slots.push_back(slot);
   }
-  ++dst.admission_gen;
   if (src.dirty) {
     mark_dirty(dst);
   }
@@ -437,15 +440,14 @@ void FluidScheduler::compute_component(Component& comp, SolveScratch& scratch, S
     scratch.res_residual.resize(nslots);
     scratch.res_wsum.resize(nslots);
     scratch.res_unfrozen.resize(nslots);
-    scratch.res_binding.resize(nslots);
   }
   // Pass 1 (fused): integrate progress at the rates valid since the last
-  // solve, collect completions, compact the flow list, and gather the dense
-  // filling inputs (caps, residual work, heap seeds) for the survivors in
-  // one walk. The elapsed window is hoisted: every member with a nonzero
-  // rate was last integrated at comp.last_solved (the solve that assigned
-  // the rate, or integrate_component on a merge/retire), and flows admitted
-  // since then carry rate 0, so one uniform `rate * el` per flow is exact.
+  // solve, collect completions, compact the flow list, and gather the
+  // finite caps of the survivors in one walk. The elapsed window is
+  // hoisted: every member with a nonzero rate was last integrated at
+  // comp.last_solved (the solve that assigned the rate, or
+  // integrate_component on a merge/retire), and flows admitted since then
+  // carry rate 0, so one uniform `rate * el` per flow is exact.
   // A flow is done when its residual work cannot be represented on the
   // nanosecond clock (less than half a tick at the current rate) — this
   // avoids endless zero-delay reschedules.
@@ -457,7 +459,7 @@ void FluidScheduler::compute_component(Component& comp, SolveScratch& scratch, S
   if (scratch.f_frozen.size() < cf.size()) {
     scratch.f_frozen.resize(cf.size());
   }
-  scratch.cap_heap.clear();
+  scratch.caps.clear();
   std::size_t out_idx = 0;  // stable compaction: completions fire in start order
   for (std::size_t i = 0; i < cf.size(); ++i) {
     Flow* f = cf[i];
@@ -476,17 +478,22 @@ void FluidScheduler::compute_component(Component& comp, SolveScratch& scratch, S
     f->comp_index_ = static_cast<std::uint32_t>(out_idx);
     const double cap = f->effective_cap();
     if (std::isfinite(cap)) {
-      scratch.cap_heap.emplace_back(cap, static_cast<std::uint32_t>(out_idx));
+      scratch.caps.emplace_back(cap, static_cast<std::uint32_t>(out_idx));
     }
     ++out_idx;
   }
-  if (out_idx != cf.size()) {
-    cf.resize(out_idx);
-    ++comp.admission_gen;  // membership changed: the cached layout is stale
-  }
+  cf.resize(out_idx);
   std::fill_n(scratch.f_frozen.begin(), cf.size(), std::uint8_t{0});
+  scratch.r_live.clear();
   for (const auto slot : comp.res_slots) {
     FluidResource* res = res_slots_[slot];
+    const bool carries = !res->flows_.empty();
+    if (!carries && res->consume_rate_ == 0.0 &&
+        res->bound_level_ == -std::numeric_limits<double>::infinity()) {
+      // Idle row (components keep their resources until an epoch rebuild):
+      // no window to close, no stamp to clear, nothing to fill.
+      continue;
+    }
     // Close the constant-rate window with one fused multiply per resource:
     // rates are piecewise constant since the last solve, so the aggregate
     // consume_rate_ integrates the whole window exactly (flows admitted at
@@ -503,29 +510,29 @@ void FluidScheduler::compute_component(Component& comp, SolveScratch& scratch, S
     // Re-stamped by water_fill in the round (if any) where the resource
     // binds; FluidNet offers read the post-solve value.
     res->bound_level_ = -std::numeric_limits<double>::infinity();
+    if (!carries) {
+      continue;
+    }
     scratch.res_residual[slot] = res->capacity_;
     // Seeded from the incrementally maintained aggregates (start /
     // finish_flow_local), read after pass 1 so this solve's completions are
     // already reflected — pass 1 needs no per-share walk at all.
     scratch.res_wsum[slot] = res->active_wsum_;
-    scratch.res_unfrozen[slot] = static_cast<std::uint32_t>(res->active_flows_);
-    scratch.res_binding[slot] = 0;
+    scratch.res_unfrozen[slot] = static_cast<std::uint32_t>(res->flows_.size());
+    scratch.r_live.push_back(slot);
   }
   comp.dirty = false;
   if (cf.empty()) {
     return;
   }
-
-  // (cap, admission index) min-heap: the partial sort. Pair comparison
-  // breaks cap ties by admission index.
-  std::make_heap(scratch.cap_heap.begin(), scratch.cap_heap.end(), std::greater<>{});
-  scratch.r_live.clear();
-  for (std::uint32_t j = 0; j < comp.res_slots.size(); ++j) {
-    if (scratch.res_unfrozen[comp.res_slots[j]] > 0) {
-      scratch.r_live.push_back(j);
-    }
+  if (scratch.r_level.size() < scratch.r_live.size()) {
+    scratch.r_level.resize(scratch.r_live.size());
   }
-  ensure_layout(comp, scratch);
+  // Pass 1 gathered the caps in admission order, so equal caps (e.g. every
+  // vCPU flow at 1.0 core) are already in (cap, admission index) order.
+  if (!std::is_sorted(scratch.caps.begin(), scratch.caps.end())) {
+    std::sort(scratch.caps.begin(), scratch.caps.end());
+  }
 
   out.next_completion_s = water_fill(comp, scratch);
 
@@ -533,74 +540,29 @@ void FluidScheduler::compute_component(Component& comp, SolveScratch& scratch, S
   // ran): the filling left each resource's residual behind, so its
   // aggregate consumption rate is capacity − residual — one deterministic
   // subtraction per resource, valid until the next solve (see
-  // FluidResource::consumed()).
+  // FluidResource::consumed()). Rows without flows keep the 0 set above.
   for (const auto slot : comp.res_slots) {
     FluidResource* res = res_slots_[slot];
-    res->consume_rate_ = res->capacity_ - scratch.res_residual[slot];
-  }
-}
-
-void FluidScheduler::ensure_layout(Component& comp, SolveScratch& scratch) {
-  auto& lay = comp.layout;
-  if (lay.built_gen == comp.admission_gen) {
-    return;
-  }
-  if (lay.seen_gen != comp.admission_gen) {
-    // First solve at this membership: don't build — churning components
-    // (admissions or completions every solve) would pay a full transpose
-    // rebuild per solve only to use it once. water_fill falls back to the
-    // admission-order flow scan until the membership proves stable.
-    lay.seen_gen = comp.admission_gen;
-    return;
-  }
-  const auto nf = static_cast<std::uint32_t>(comp.flows.size());
-  const auto nr = static_cast<std::uint32_t>(comp.res_slots.size());
-  lay.n_res = nr;
-  if (scratch.slot_local.size() < res_slots_.size()) {
-    scratch.slot_local.resize(res_slots_.size());
-  }
-  for (std::uint32_t j = 0; j < nr; ++j) {
-    scratch.slot_local[comp.res_slots[j]] = j;
-  }
-  // Transpose via counting sort: per-resource flow lists, admission order.
-  lay.rflow_off.assign(nr + 1, 0);
-  std::uint32_t total = 0;
-  for (std::uint32_t i = 0; i < nf; ++i) {
-    for (const auto& share : comp.flows[i]->shares_) {
-      ++lay.rflow_off[scratch.slot_local[share.resource->slot_] + 1];
-      ++total;
+    if (!res->flows_.empty()) {
+      res->consume_rate_ = res->capacity_ - scratch.res_residual[slot];
     }
   }
-  for (std::uint32_t j = 0; j < nr; ++j) {
-    lay.rflow_off[j + 1] += lay.rflow_off[j];
-  }
-  lay.rflow_ids.resize(total);
-  if (scratch.rflow_cursor.size() < nr) {
-    scratch.rflow_cursor.resize(nr);
-  }
-  std::copy(lay.rflow_off.begin(), lay.rflow_off.begin() + nr, scratch.rflow_cursor.begin());
-  for (std::uint32_t i = 0; i < nf; ++i) {
-    for (const auto& share : comp.flows[i]->shares_) {
-      lay.rflow_ids[scratch.rflow_cursor[scratch.slot_local[share.resource->slot_]]++] = i;
-    }
-  }
-  lay.built_gen = comp.admission_gen;
 }
 
 double FluidScheduler::water_fill(Component& comp, SolveScratch& scratch) {
-  // Water-level filling over the dense arrays: each round takes the
-  // tightest constraint (a resource's equal-share or the heap-top cap),
-  // freezing tied capped flows straight off the cap heap and every flow
-  // crossing a binding resource — through the cached transpose list when
-  // the membership is stable, or an admission-order flow scan when it is
-  // churning. Across a whole solve each flow is batched exactly once and
-  // each heap entry pops once.
-  const auto& lay = comp.layout;
-  const bool transposed = lay.built_gen == comp.admission_gen;
+  // Water-level filling over the rows compute_component prepared: each
+  // round takes the tightest constraint (a live resource's equal share or
+  // the cap under the cursor), freezes the capped flows tied at it straight
+  // off the sorted cap array and every unfrozen flow on a binding resource
+  // through that resource's own flow list. Across a whole solve the cursor
+  // passes each cap once and each flow is batched exactly once.
   auto& cf = comp.flows;
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  const auto heap_cmp = std::greater<>{};
-  auto& heap = scratch.cap_heap;
+  const auto& caps = scratch.caps;
+  auto& live = scratch.r_live;
+  auto& level = scratch.r_level;
+  auto& frozen = scratch.f_frozen;
+  std::size_t cursor = 0;
   double next = kInf;
   std::uint32_t left = static_cast<std::uint32_t>(cf.size());
   while (left > 0) {
@@ -608,47 +570,46 @@ double FluidScheduler::water_fill(Component& comp, SolveScratch& scratch) {
     // compacting out resources whose flows all froze in earlier rounds.
     // Guard on the integer count, not wsum: subtractive updates of tiny
     // weights (1e-9 core-sec/byte) leave fp residue behind.
-    auto& live = scratch.r_live;
     double bound_r = kInf;
     std::size_t lw = 0;
-    for (const std::uint32_t j : live) {
-      const auto slot = comp.res_slots[j];
+    for (const std::uint32_t slot : live) {
       if (scratch.res_unfrozen[slot] == 0) {
         continue;
       }
-      live[lw++] = j;
-      if (scratch.res_wsum[slot] > 0.0) {
-        bound_r = std::min(bound_r,
-                           std::max(0.0, scratch.res_residual[slot]) / scratch.res_wsum[slot]);
-      }
+      const double wsum = scratch.res_wsum[slot];
+      const double lv = wsum > 0.0 ? std::max(0.0, scratch.res_residual[slot]) / wsum : kInf;
+      bound_r = std::min(bound_r, lv);
+      level[lw] = lv;
+      live[lw++] = slot;
     }
     live.resize(lw);
-    // Lazy deletion: drop already-frozen flows off the cap heap.
-    while (!heap.empty() && scratch.f_frozen[heap.front().second] != 0) {
-      std::pop_heap(heap.begin(), heap.end(), heap_cmp);
-      heap.pop_back();
+    // Caps frozen by a binding resource in an earlier round are passed over.
+    while (cursor < caps.size() && frozen[caps[cursor].second] != 0) {
+      ++cursor;
     }
-    const double cap_min = heap.empty() ? kInf : heap.front().first;
+    const double cap_min = cursor < caps.size() ? caps[cursor].first : kInf;
     NM_CHECK(std::isfinite(std::min(bound_r, cap_min)),
              "unbounded fluid rate (flow with no finite constraint) in "
                  << describe_component(comp));
 
     const double bound = std::min(bound_r, cap_min);
-    if (heap.empty() && live.size() == 1) {
-      // Fast round: a single live resource and no unfrozen capped flows. A
-      // live flow keeps every resource it crosses live, so each unfrozen
-      // flow has exactly one share, on this resource — the whole remainder
-      // freezes at `bound` in one admission-order sweep over the dense
-      // arrays, no binding flags or batch needed. The residual subtractions
-      // run in the same per-flow sequence as the general path, so the
-      // committed consume_rate_ is bit-identical.
-      const auto slot = comp.res_slots[live.front()];
+    if (cursor == caps.size() && live.size() == 1 && scratch.res_unfrozen[live.front()] == left) {
+      // Fast round: a single live resource, no unfrozen capped flows, and
+      // as many unfrozen shares on it as unfrozen flows. A live flow keeps
+      // every resource it crosses live, so each unfrozen flow has exactly
+      // one share, on this resource — the whole remainder freezes at
+      // `bound` in one admission-order sweep over the dense arrays, no
+      // batch needed. The residual subtractions run in the same per-flow
+      // sequence as the general path, so the committed consume_rate_ is
+      // bit-identical. A flow crossing the resource twice must take the
+      // general path, which subtracts once per share.
+      const auto slot = live.front();
       res_slots_[slot]->bound_level_ = bound;
       const auto nf = static_cast<std::uint32_t>(cf.size());
       double bound_min_remaining = kInf;
       double residual = scratch.res_residual[slot];
       for (std::uint32_t i = 0; i < nf; ++i) {
-        if (scratch.f_frozen[i] != 0) {
+        if (frozen[i] != 0) {
           continue;
         }
         Flow* f = cf[i];
@@ -670,121 +631,39 @@ double FluidScheduler::water_fill(Component& comp, SolveScratch& scratch) {
     }
     auto& batch = scratch.freeze_batch;
     batch.clear();
-    // Tied caps (the tiny-flow fast path) come straight off the heap: one
-    // pop per capped flow across the whole solve, no scan over the rest.
-    while (!heap.empty()) {
-      const auto [cap, idx] = heap.front();
-      if (scratch.f_frozen[idx] == 0) {
-        if (cap > bound * (1.0 + 1e-12)) {
+    const double tie = bound * (1.0 + 1e-12);
+    // Tied caps (the tiny-flow fast path) come straight off the cursor:
+    // one step per capped flow across the whole solve.
+    for (; cursor < caps.size(); ++cursor) {
+      const auto [cap, idx] = caps[cursor];
+      if (frozen[idx] == 0) {
+        if (cap > tie) {
           break;
         }
-        scratch.f_frozen[idx] = 1;
+        frozen[idx] = 1;
         batch.push_back(idx);
       }
-      std::pop_heap(heap.begin(), heap.end(), heap_cmp);
-      heap.pop_back();
     }
     // Resources whose equal-share sits at the level freeze every unfrozen
     // flow they carry. A cap and a resource can tie within the same round
-    // (the tolerance band below); handling both here keeps the round
-    // structure — and crucially the bound_level_ stamps the FluidNet
-    // exchange reads for its capacity offers — identical to the reference
-    // solver's.
-    bool any_binding = false;
-    for (const std::uint32_t j : live) {
-      const auto slot = comp.res_slots[j];
-      if (scratch.res_wsum[slot] <= 0.0 ||
-          std::max(0.0, scratch.res_residual[slot]) / scratch.res_wsum[slot] >
-              bound * (1.0 + 1e-12)) {
+    // (the tolerance band); handling both here keeps the round structure —
+    // and crucially the bound_level_ stamps the FluidNet exchange reads for
+    // its capacity offers — identical to the reference solver's.
+    for (std::size_t k = 0; k < live.size(); ++k) {
+      const auto slot = live[k];
+      if (scratch.res_wsum[slot] <= 0.0 || level[k] > tie) {
         continue;
       }
       // The max-min level this resource saturated at; stable until the
       // next solve, so FluidNet's exchange can read it after compute.
-      res_slots_[slot]->bound_level_ = bound;
-      any_binding = true;
-      if (transposed) {
-        for (std::uint32_t s = lay.rflow_off[j]; s < lay.rflow_off[j + 1]; ++s) {
-          const std::uint32_t idx = lay.rflow_ids[s];
-          if (scratch.f_frozen[idx] == 0) {
-            scratch.f_frozen[idx] = 1;
-            batch.push_back(idx);
-          }
+      FluidResource* res = res_slots_[slot];
+      res->bound_level_ = bound;
+      for (Flow* f : res->flows_) {
+        const std::uint32_t idx = f->comp_index_;
+        if (frozen[idx] == 0) {
+          frozen[idx] = 1;
+          batch.push_back(idx);
         }
-      } else {
-        scratch.res_binding[slot] = 1;
-      }
-    }
-    if (!transposed && any_binding && batch.empty()) {
-      // Fused fallback for the common pure-resource round on churning
-      // membership (no caps tied this round): freeze and apply in one
-      // admission-order pass. The scan order *is* the batch order, so the
-      // subtractive float updates run in the exact sequence the two-phase
-      // path below would use — bit-identical, half the memory traffic.
-      const auto nf = static_cast<std::uint32_t>(cf.size());
-      std::uint32_t frozen_this_round = 0;
-      double bound_min_remaining = kInf;
-      for (std::uint32_t i = 0; i < nf; ++i) {
-        if (scratch.f_frozen[i] != 0) {
-          continue;
-        }
-        Flow* f = cf[i];
-        bool binding = false;
-        for (const auto& share : f->shares_) {
-          if (scratch.res_binding[share.resource->slot_] != 0) {
-            binding = true;
-            break;
-          }
-        }
-        if (!binding) {
-          continue;
-        }
-        scratch.f_frozen[i] = 1;
-        ++frozen_this_round;
-        const double rate = std::min(bound, f->effective_cap());
-        f->rate_ = rate;
-        for (const auto& share : f->shares_) {
-          const auto slot = share.resource->slot_;
-          scratch.res_residual[slot] -= rate * share.weight;
-          scratch.res_wsum[slot] -= share.weight;
-          NM_CHECK(scratch.res_unfrozen[slot] > 0, "fluid unfrozen-count underflow");
-          --scratch.res_unfrozen[slot];
-        }
-        if (rate == bound) {
-          bound_min_remaining = std::min(bound_min_remaining, f->remaining_);
-        } else if (rate > 0.0) {
-          next = std::min(next, f->remaining_ / rate);
-        }
-      }
-      for (const std::uint32_t j : live) {
-        scratch.res_binding[comp.res_slots[j]] = 0;
-      }
-      NM_CHECK(frozen_this_round > 0,
-               "progressive filling made no progress in " << describe_component(comp));
-      if (bound > 0.0 && std::isfinite(bound_min_remaining)) {
-        next = std::min(next, bound_min_remaining / bound);
-      }
-      left -= frozen_this_round;
-      continue;
-    }
-    if (!transposed && any_binding) {
-      // Mixed round (caps and resources tied at one level) on churning
-      // membership: gather into the batch so cap-popped and resource-bound
-      // flows freeze together in admission order.
-      const auto nf = static_cast<std::uint32_t>(cf.size());
-      for (std::uint32_t i = 0; i < nf; ++i) {
-        if (scratch.f_frozen[i] != 0) {
-          continue;
-        }
-        for (const auto& share : cf[i]->shares_) {
-          if (scratch.res_binding[share.resource->slot_] != 0) {
-            scratch.f_frozen[i] = 1;
-            batch.push_back(i);
-            break;
-          }
-        }
-      }
-      for (const std::uint32_t j : live) {
-        scratch.res_binding[comp.res_slots[j]] = 0;
       }
     }
     NM_CHECK(!batch.empty(),
@@ -792,8 +671,8 @@ double FluidScheduler::water_fill(Component& comp, SolveScratch& scratch) {
 
     // Freeze the batch in admission order so the subtractive float updates
     // run in one deterministic order for every solver and worker count.
-    // (Pure cap rounds arrive in cap order; resource rounds are usually
-    // already admission-sorted.)
+    // (Pure cap rounds arrive in cap order; a lone binding resource's list
+    // is already admission-ordered.)
     if (!std::is_sorted(batch.begin(), batch.end())) {
       std::sort(batch.begin(), batch.end());
     }
@@ -834,7 +713,7 @@ std::string FluidScheduler::describe_component(const Component& comp) const {
   for (const auto slot : comp.res_slots) {
     const FluidResource* res = res_slots_[slot];
     os << "\n  resource[" << slot << "] " << res->name_ << ": capacity=" << res->capacity_
-       << " bound_level=" << res->bound_level_ << " active_flows=" << res->active_flows_;
+       << " bound_level=" << res->bound_level_ << " active_flows=" << res->flows_.size();
   }
   constexpr std::size_t kMaxFlows = 64;
   const std::size_t shown = std::min(comp.flows.size(), kMaxFlows);
@@ -936,10 +815,7 @@ void FluidScheduler::compute_component_reference(Component& comp, SolveScratch& 
     }
     first_cap = std::min(first_cap, f->effective_cap());
   }
-  if (out_idx != cf.size()) {
-    cf.resize(out_idx);
-    ++comp.admission_gen;  // membership changed: the cached layout is stale
-  }
+  cf.resize(out_idx);
 
   // Pass 2: re-solve rates and find the earliest completion.
   comp.dirty = false;
@@ -987,9 +863,10 @@ void FluidScheduler::finish_flow_local(Flow& flow) {
   flow.comp_ = kNone;
   flow.comp_index_ = Flow::kNoIndex;
   for (const auto& share : flow.shares_) {
-    NM_CHECK(share.resource->active_flows_ > 0,
-             "resource flow count underflow on " << share.resource->name());
-    --share.resource->active_flows_;
+    auto& list = share.resource->flows_;
+    const auto it = std::find(list.begin(), list.end(), &flow);
+    NM_CHECK(it != list.end(), "flow missing from the flow list of " << share.resource->name());
+    list.erase(it);
     share.resource->active_wsum_ -= share.weight;
   }
 }

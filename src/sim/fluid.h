@@ -33,6 +33,7 @@
 
 namespace nm::sim {
 
+class Flow;
 class FluidScheduler;
 class FluidNet;
 class SolvePool;
@@ -83,8 +84,10 @@ class FluidResource {
   /// re-solved before any simulated time passes).
   void set_capacity(double capacity);
 
-  /// Number of flows currently crossing this resource.
-  [[nodiscard]] std::size_t active_flows() const { return active_flows_; }
+  /// Number of flow shares currently crossing this resource (a flow that
+  /// crosses it twice, e.g. a same-host transfer's src and dst CPU, counts
+  /// twice).
+  [[nodiscard]] std::size_t active_flows() const { return flows_.size(); }
 
   /// Integrated consumption (resource-unit-seconds, e.g. core-seconds for
   /// a CPU): utilization accounting for experiments like the paper's
@@ -111,11 +114,15 @@ class FluidResource {
 
   std::string name_;
   double capacity_;
-  std::size_t active_flows_ = 0;
+  /// The unfinished flows crossing this resource, in admission order, one
+  /// entry per share. Appended in FluidScheduler::start, removed in
+  /// finish_flow_local; when the resource binds in a solve it freezes
+  /// exactly these flows, so a filling round never scans the component.
+  std::vector<Flow*> flows_;
   /// Σ weights of the unfinished flows crossing this resource, maintained
   /// incrementally at admission/finish so the kPartialSort solver can seed
   /// its weight-sum row without walking every flow's share list. Guard
-  /// decisions use the integer `active_flows_`, never this sum: repeated
+  /// decisions use the integer `flows_.size()`, never this sum: repeated
   /// add/subtract leaves fp residue behind.
   double active_wsum_ = 0.0;
   /// The progressive-filling level at which this resource became binding in
@@ -317,12 +324,13 @@ class FluidScheduler : public FlowRouter {
   [[nodiscard]] std::size_t component_count() const;
 
   /// Which progressive-filling implementation solves components.
-  /// `kPartialSort` is the production path: a cap min-heap plays the role of
-  /// the partial sort (only the next cap band is ever ordered), binding
-  /// resources freeze their flows through a transpose list, and all state
-  /// streams through dense SoA arrays laid out per component. The legacy
-  /// full-scan rounds are retained verbatim as `kFullScanReference` so tests
-  /// can cross-check the two against each other and against brute force.
+  /// `kPartialSort` is the production path: the component's finite caps are
+  /// sorted once per solve and walked by a cursor (the partial sort: each
+  /// round only reads the next cap band), binding resources freeze their
+  /// own admission-ordered flow lists, and the per-resource rows live in
+  /// dense slot-indexed scratch arrays. The legacy full-scan rounds are
+  /// retained verbatim as `kFullScanReference` so tests can cross-check the
+  /// two against each other and against brute force.
   /// Both compute the same max-min fair allocation; freeze ties are broken
   /// by admission seq in either path.
   enum class SolveMethod {
@@ -361,31 +369,6 @@ class FluidScheduler : public FlowRouter {
     /// one uniform elapsed window instead of differencing per flow.
     /// merge_into integrates both sides first to keep the invariant.
     TimePoint last_solved;
-    /// Admission generation: bumped whenever membership changes (a flow is
-    /// admitted, completes, or is retired by the exchange; a resource slot
-    /// joins or leaves). Pure rate/cap/capacity mutations leave it alone, so
-    /// the cached solve layout below — and anything else keyed on flow
-    /// ordering — survives the common re-solve.
-    std::uint64_t admission_gen = 0;
-    /// Cached transpose (resource → flows) for binding-resource freeze
-    /// rounds. Built lazily on the second consecutive solve at the same
-    /// `admission_gen`: churning components (flows admitted or completing
-    /// every solve) never pay the build and use the admission-order flow
-    /// scan instead, while stable components (e.g. exchange-coupled ones
-    /// re-solved many times per settle) freeze through the list. Local
-    /// flow index = position in `flows` (admission order); local resource
-    /// index = position in `res_slots`.
-    struct Layout {
-      /// Sentinels distinct from any admission_gen so fresh components scan.
-      std::uint64_t built_gen = ~0ull;
-      /// Last admission generation a solve ran at; built_gen chases it.
-      std::uint64_t seen_gen = ~0ull;
-      std::uint32_t n_res = 0;
-      /// CSR transpose: resource → local flow indices, in admission order.
-      std::vector<std::uint32_t> rflow_off;  // n_res + 1
-      std::vector<std::uint32_t> rflow_ids;
-    };
-    Layout layout;
   };
 
   /// Scratch for the pure compute phase of a solve, owned per worker (and
@@ -394,30 +377,28 @@ class FluidScheduler : public FlowRouter {
   /// before use, so one scratch can serve components from any scheduler —
   /// it only ever needs to be grown, never cleared.
   struct SolveScratch {
-    // Slot-indexed rows shared by both solvers (the kPartialSort path
-    // addresses them through comp.res_slots[local]).
+    // Slot-indexed rows shared by both solvers.
     std::vector<double> res_residual;
     std::vector<double> res_wsum;
     std::vector<std::uint32_t> res_unfrozen;
+    // The reference solver's binding flags and unfrozen-flow list.
     std::vector<std::uint8_t> res_binding;
     std::vector<Flow*> unfrozen;
     /// Dense frozen flags for the kPartialSort solver; index = local flow
     /// index (position in Component::flows, admission order). Caps and
     /// residual work are read off the (cache-line-packed) Flow itself.
     std::vector<std::uint8_t> f_frozen;
-    /// Local indices of resources that still carry unfrozen flows,
-    /// compacted as rounds freeze them out.
+    /// Slots of the resources that still carry unfrozen flows, compacted
+    /// as rounds freeze them out, and each one's water level this round.
     std::vector<std::uint32_t> r_live;
-    /// Min-heap of (effective cap, local flow index): the "partial sort" —
-    /// only the next cap band is ever in order, frozen entries are dropped
-    /// lazily at pop. The pair compare breaks cap ties by admission index.
-    std::vector<std::pair<double, std::uint32_t>> cap_heap;
+    std::vector<double> r_level;
+    /// (effective cap, local flow index) of every finitely capped flow,
+    /// sorted once per solve and walked by a cursor: the "partial sort".
+    /// The pair order breaks cap ties by admission index.
+    std::vector<std::pair<double, std::uint32_t>> caps;
     /// Flows freezing in the current round, restored to admission order
     /// before their subtractive updates run.
     std::vector<std::uint32_t> freeze_batch;
-    /// Slot → local resource index, valid only inside one layout build.
-    std::vector<std::uint32_t> slot_local;
-    std::vector<std::uint32_t> rflow_cursor;
   };
 
   /// Everything a compute phase hands to the serial commit phase: the flows
@@ -462,14 +443,10 @@ class FluidScheduler : public FlowRouter {
   /// The retained legacy compute phase (SolveMethod::kFullScanReference):
   /// full scans over slot-indexed rows and the unfrozen pointer list.
   void compute_component_reference(Component& comp, SolveScratch& scratch, SolveResult& out);
-  /// Chases `comp.layout` toward `admission_gen`: builds the transpose only
-  /// on the second consecutive solve at the same generation (stable
-  /// membership), so churning components never pay the build.
-  void ensure_layout(Component& comp, SolveScratch& scratch);
-  /// Water-level filling over the dense arrays prepared by
-  /// compute_component: alternates cap-band rounds (heap pops) and
-  /// binding-resource rounds (transpose-list freezes). Returns the earliest
-  /// time-to-completion in seconds (+inf if nothing progresses).
+  /// Water-level filling over the rows prepared by compute_component: each
+  /// round freezes the caps tied at the level (cursor over the sorted cap
+  /// array) and the flow lists of the resources binding at it. Returns the
+  /// earliest time-to-completion in seconds (+inf if nothing progresses).
   double water_fill(Component& comp, SolveScratch& scratch);
   /// Multi-line diagnostic dump of a component's resources (capacity,
   /// residual bookkeeping, bound levels) and flows (demand, caps, shares)

@@ -260,7 +260,6 @@ void FluidNet::retire_ghost(FluidScheduler& sched, Flow& ghost,
     for (std::size_t i = pos; i < flows.size(); ++i) {
       flows[i]->comp_index_ = static_cast<std::uint32_t>(i);
     }
-    ++comp.admission_gen;  // membership changed: the cached solve layout is stale
     dirtied.emplace_back(&sched, comp_id);
   }
   // Local + global retirement, minus the completion event: a ghost never

@@ -9,6 +9,11 @@
 // The same harness cross-checks the O(1) rate-tracked consumption read:
 // every resource's consumed() must match a brute-force integral of
 // (reference rate × weight) over every constant-rate window within 1e-9.
+// Part of the flows carry finite work and retire mid-schedule, new flows
+// join (merging components), some flows cross one resource twice (as a
+// same-host transfer charges one node's CPU as both src and dst), and a
+// band of long schedules retires enough flows to force epoch rebuilds, so
+// the per-resource flow lists are pinned through every retirement path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +25,7 @@
 
 #include "sim/fluid.h"
 #include "sim/simulation.h"
+#include "sim/task.h"
 
 namespace nm::sim {
 namespace {
@@ -109,12 +115,19 @@ struct Topology {
   Simulation sim;
   FluidScheduler sched{sim};
   std::vector<std::unique_ptr<FluidResource>> resources;
+  /// Unfinished flows (pruned at every sync_reference).
   std::vector<FlowPtr> flows;
   /// Brute-force consumption integral per resource: Σ over constant-rate
   /// windows of (reference rate × weight × window). The production
   /// scheduler instead tracks an aggregate rate at solve time and reads
   /// consumed() in O(1); the two must agree within 1e-9.
   std::vector<double> consumed_ref;
+  /// Reference rates of `flows`, in effect since `ref_time`, the instant
+  /// consumed_ref is integrated up to.
+  std::vector<double> ref_rates;
+  TimePoint ref_time;
+  /// Flows that finished so far.
+  std::size_t retired = 0;
 };
 
 /// The reference solver's view of the topology's current state.
@@ -132,7 +145,8 @@ RefProblem build_ref(Topology& topo) {
   prob.flows.reserve(topo.flows.size());
   for (const auto& flow : topo.flows) {
     RefFlow rf;
-    rf.cap = flow->max_rate();  // 0 while suspended
+    // 0 while suspended; a finished flow (not yet pruned) runs at 0 too.
+    rf.cap = flow->finished() ? 0.0 : flow->max_rate();
     for (const auto& share : flow->shares()) {
       for (std::size_t r = 0; r < topo.resources.size(); ++r) {
         if (topo.resources[r].get() == share.resource) {
@@ -146,17 +160,35 @@ RefProblem build_ref(Topology& topo) {
   return prob;
 }
 
-/// Integrates the brute-force consumption reference over a window during
-/// which no rate changes: consumed_ref[r] += rate × weight × dt.
-void integrate_reference(Topology& topo, Duration dt) {
-  const RefProblem prob = build_ref(topo);
-  const auto rates = reference_rates(prob.capacity, prob.flows);
-  for (std::size_t f = 0; f < prob.flows.size(); ++f) {
-    for (std::size_t s = 0; s < prob.flows[f].res.size(); ++s) {
-      topo.consumed_ref[prob.flows[f].res[s]] +=
-          rates[f] * prob.flows[f].weight[s] * dt.to_seconds();
+/// Rates are piecewise constant between syncs: every mutation and every
+/// completion is followed by one. Integrates the brute-force consumption
+/// reference up to now at the reference rates in effect since the last
+/// sync (consumed_ref[r] += rate × weight × dt), prunes finished flows, and
+/// re-solves the reference for the current state.
+void sync_reference(Topology& topo) {
+  const RefProblem before = build_ref(topo);
+  const double dt = (topo.sim.now() - topo.ref_time).to_seconds();
+  // Flows admitted since the last sync have no reference rate yet; they
+  // were admitted at ref_time (mutations never advance the clock).
+  for (std::size_t f = 0; f < topo.ref_rates.size(); ++f) {
+    for (std::size_t s = 0; s < before.flows[f].res.size(); ++s) {
+      topo.consumed_ref[before.flows[f].res[s]] +=
+          topo.ref_rates[f] * before.flows[f].weight[s] * dt;
     }
   }
+  topo.ref_time = topo.sim.now();
+  topo.retired += static_cast<std::size_t>(std::erase_if(
+      topo.flows, [](const FlowPtr& flow) { return flow->finished(); }));
+  const RefProblem after = build_ref(topo);
+  topo.ref_rates = reference_rates(after.capacity, after.flows);
+}
+
+/// Syncs the reference at the instant `flow` completes, before any other
+/// rate change: the completing solve is the only event of that instant
+/// that moves rates, and the waiter resumes within the same instant.
+Task sync_at_completion(Topology& topo, FlowPtr flow) {
+  co_await flow->completion().wait();
+  sync_reference(topo);
 }
 
 void check_against_reference(Topology& topo, std::uint32_t seed, int step) {
@@ -165,6 +197,9 @@ void check_against_reference(Topology& topo, std::uint32_t seed, int step) {
   const auto& ref = prob.flows;
   const auto expected = reference_rates(capacity, ref);
   for (std::size_t f = 0; f < topo.flows.size(); ++f) {
+    if (topo.flows[f]->finished()) {
+      continue;  // its last rate stays behind; the reference runs it at 0
+    }
     const double got = topo.flows[f]->current_rate();
     const double want = expected[f];
     const double tol = 1e-9 * std::max(1.0, std::max(std::abs(got), std::abs(want)));
@@ -173,6 +208,9 @@ void check_against_reference(Topology& topo, std::uint32_t seed, int step) {
   // Feasibility: no resource is over-committed.
   std::vector<double> used(capacity.size(), 0.0);
   for (std::size_t f = 0; f < topo.flows.size(); ++f) {
+    if (topo.flows[f]->finished()) {
+      continue;
+    }
     for (std::size_t s = 0; s < ref[f].res.size(); ++s) {
       used[ref[f].res[s]] += topo.flows[f]->current_rate() * ref[f].weight[s];
     }
@@ -194,6 +232,11 @@ void check_against_reference(Topology& topo, std::uint32_t seed, int step) {
   }
 }
 
+/// Topologies whose retirements passed the scheduler's epoch-rebuild
+/// threshold (more than 64, and more than the live flows). Kept above zero
+/// by the long-schedule band so a rebuild always runs under the oracle.
+int g_rebuild_topologies = 0;
+
 void run_one_topology(std::uint32_t seed, FluidScheduler::SolveMethod method) {
   std::mt19937 rng(seed);
   Topology topo;
@@ -211,9 +254,11 @@ void run_one_topology(std::uint32_t seed, FluidScheduler::SolveMethod method) {
   topo.consumed_ref.assign(r_count, 0.0);
   std::uniform_real_distribution<double> weight_dist(0.01, 2.0);
   std::uniform_real_distribution<double> flow_cap_dist(0.1, 100.0);
+  std::uniform_real_distribution<double> work_dist(0.01, 5.0);
   std::uniform_real_distribution<double> unit(0.0, 1.0);
-  const std::size_t f_count = 1 + rng() % 40;
-  for (std::size_t f = 0; f < f_count; ++f) {
+  // Work far beyond what the mutation window can drain never completes;
+  // finite work drains within a few windows at typical rates.
+  const auto start_flow = [&](bool finite) {
     const std::size_t cross = 1 + rng() % std::min<std::size_t>(4, r_count);
     std::vector<std::size_t> picks;
     while (picks.size() < cross) {
@@ -221,6 +266,9 @@ void run_one_topology(std::uint32_t seed, FluidScheduler::SolveMethod method) {
       if (std::find(picks.begin(), picks.end(), r) == picks.end()) {
         picks.push_back(r);
       }
+    }
+    if (unit(rng) < 0.15) {
+      picks.push_back(picks[rng() % picks.size()]);  // crosses one resource twice
     }
     // Weights stay within two decades: mixing ~1e-9 weights (the CPU
     // core-seconds-per-byte scale) with ~1 weights makes progressive
@@ -232,42 +280,62 @@ void run_one_topology(std::uint32_t seed, FluidScheduler::SolveMethod method) {
       shares.push_back(ResourceShare{topo.resources[r].get(), weight_dist(rng)});
     }
     const double cap = unit(rng) < 0.4 ? flow_cap_dist(rng) : kUncappedRate;
-    // Work far beyond what the mutation window can drain: no completions.
-    topo.flows.push_back(topo.sched.start(FlowSpec{1e15, std::move(shares), cap, {}}));
+    const double work = finite ? work_dist(rng) : 1e15;
+    topo.flows.push_back(topo.sched.start(FlowSpec{work, std::move(shares), cap, {}}));
+    if (finite) {
+      topo.sim.spawn(sync_at_completion(topo, topo.flows.back()));
+    }
+  };
+  const std::size_t f_count = 1 + rng() % 40;
+  for (std::size_t f = 0; f < f_count; ++f) {
+    start_flow(unit(rng) < 0.3);
   }
+  sync_reference(topo);
   check_against_reference(topo, seed, /*step=*/-1);
 
-  const int steps = static_cast<int>(rng() % 7);
+  // Every fiftieth seed runs a long schedule of admissions and completions.
+  const bool long_schedule = seed % 50 == 0;
+  const int steps = long_schedule ? 250 : static_cast<int>(rng() % 7);
+  bool rebuilt = false;
   for (int step = 0; step < steps; ++step) {
-    auto& flow = topo.flows[rng() % topo.flows.size()];
-    switch (rng() % 5) {
-      case 0: {
-        // Rates are constant across the window (mutations settle before
-        // time advances, work is inexhaustible): integrate the reference
-        // first, then advance the clock.
-        const Duration window = Duration::millis(1 + rng() % 100);
-        integrate_reference(topo, window);
-        topo.sim.run_for(window);
-        break;
+    const auto kind = rng() % 6;
+    if (kind == 5 || topo.flows.empty()) {
+      // Admission at a later instant: merges the components the new flow
+      // bridges after both have made progress.
+      for (std::size_t n = 1 + rng() % 4; n > 0; --n) {
+        start_flow(true);
       }
-      case 1:
-        flow->set_max_rate(unit(rng) < 0.3 ? kUncappedRate : flow_cap_dist(rng));
-        break;
-      case 2:
-        flow->suspend();
-        break;
-      case 3:
-        flow->resume();
-        break;
-      case 4:
-        topo.resources[rng() % r_count]->set_capacity(cap_dist(rng));
-        break;
+    } else {
+      auto& flow = topo.flows[rng() % topo.flows.size()];
+      switch (kind) {
+        case 0:
+          // Completions inside the window sync the reference themselves;
+          // the final sync below banks the tail.
+          topo.sim.run_for(Duration::millis(1 + rng() % 100));
+          break;
+        case 1:
+          flow->set_max_rate(unit(rng) < 0.3 ? kUncappedRate : flow_cap_dist(rng));
+          break;
+        case 2:
+          flow->suspend();
+          break;
+        case 3:
+          flow->resume();
+          break;
+        case 4:
+          topo.resources[rng() % r_count]->set_capacity(cap_dist(rng));
+          break;
+      }
     }
+    sync_reference(topo);
     check_against_reference(topo, seed, step);
+    rebuilt = rebuilt || (topo.retired > 64 && topo.retired > topo.flows.size());
   }
+  g_rebuild_topologies += rebuilt ? 1 : 0;
 }
 
 TEST(FluidReference, IncrementalMatchesBruteForceOn1000RandomTopologies) {
+  g_rebuild_topologies = 0;
   for (std::uint32_t seed = 1; seed <= 1000; ++seed) {
     run_one_topology(seed, FluidScheduler::SolveMethod::kPartialSort);
     run_one_topology(seed, FluidScheduler::SolveMethod::kFullScanReference);
@@ -275,6 +343,7 @@ TEST(FluidReference, IncrementalMatchesBruteForceOn1000RandomTopologies) {
       break;  // first failing seed is enough to debug
     }
   }
+  EXPECT_GT(g_rebuild_topologies, 0) << "no schedule reached an epoch rebuild";
 }
 
 // A second band of seeds exercising the same machinery keeps the total
