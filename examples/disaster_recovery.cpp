@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
   std::cout << "transport after evacuation: " << job.current_transport()
             << " (the safe site has no InfiniBand — and that was fine)\n";
   std::cout << "boundary exchange: worst settle "
-            << fed.max_exchange_rounds_per_settle() << " rounds, unconverged "
+            << fed.net().max_exchange_rounds_per_settle() << " rounds, unconverged "
             << fed.unconverged_exchange_count() << "\n";
   return 0;
 }

@@ -138,15 +138,11 @@ class Federation {
   /// Lets every boot-time link on all sites finish training.
   void settle();
 
-  /// Federation-wide boundary-exchange stats (same counters Testbed
-  /// exposes; here they aggregate every site plus the WAN mesh by
-  /// construction since the pool is shared).
-  [[nodiscard]] std::size_t exchange_round_count() const { return net_.exchange_round_count(); }
+  /// Settles that hit the boundary exchange's round cap, federation-wide
+  /// (every site and the WAN mesh share one pool). The other exchange
+  /// counters are read through net().
   [[nodiscard]] std::size_t unconverged_exchange_count() const {
     return net_.unconverged_exchange_count();
-  }
-  [[nodiscard]] std::size_t max_exchange_rounds_per_settle() const {
-    return net_.max_exchange_rounds_per_settle();
   }
 
  private:

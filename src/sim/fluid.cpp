@@ -378,23 +378,6 @@ void FluidScheduler::ensure_settled(const Flow& flow) {
   }
 }
 
-void FluidScheduler::rebalance() {
-  if (pool_ != nullptr && pool_->exchange_active()) {
-    for (auto& comp : comps_) {
-      if (comp != nullptr) {
-        mark_dirty(*comp);
-      }
-    }
-    pool_->settle();
-    return;
-  }
-  for (auto& comp : comps_) {
-    if (comp != nullptr) {
-      solve_component(*comp);
-    }
-  }
-}
-
 // --- FluidScheduler: the incremental solve ---------------------------------
 
 void FluidScheduler::integrate_component(Component& comp) {
@@ -430,10 +413,6 @@ void FluidScheduler::solve_component(Component& comp) {
 }
 
 void FluidScheduler::compute_component(Component& comp, SolveScratch& scratch, SolveResult& out) {
-  if (solve_method_ == SolveMethod::kFullScanReference) {
-    compute_component_reference(comp, scratch, out);
-    return;
-  }
   const TimePoint now = sim_->now();
   const auto nslots = res_slots_.size();
   if (scratch.res_residual.size() < nslots) {
@@ -497,8 +476,7 @@ void FluidScheduler::compute_component(Component& comp, SolveScratch& scratch, S
     // Close the constant-rate window with one fused multiply per resource:
     // rates are piecewise constant since the last solve, so the aggregate
     // consume_rate_ integrates the whole window exactly (flows admitted at
-    // this instant carry rate 0 and contribute nothing). This replaces the
-    // reference path's per-flow-share consumed_ accumulation.
+    // this instant carry rate 0 and contribute nothing).
     if (res->consume_rate_ != 0.0) {
       const Duration elapsed = now - res->rate_since_;
       if (!elapsed.is_zero()) {
@@ -646,9 +624,9 @@ double FluidScheduler::water_fill(Component& comp, SolveScratch& scratch) {
     }
     // Resources whose equal-share sits at the level freeze every unfrozen
     // flow they carry. A cap and a resource can tie within the same round
-    // (the tolerance band); handling both here keeps the round structure —
-    // and crucially the bound_level_ stamps the FluidNet exchange reads for
-    // its capacity offers — identical to the reference solver's.
+    // (the tolerance band); both freeze in this one round, so the
+    // bound_level_ stamp the FluidNet exchange reads for its capacity offers
+    // is the level of the round the resource bound in.
     for (std::size_t k = 0; k < live.size(); ++k) {
       const auto slot = live[k];
       if (scratch.res_wsum[slot] <= 0.0 || level[k] > tie) {
@@ -742,96 +720,6 @@ std::string FluidScheduler::describe_component(const Component& comp) const {
   return os.str();
 }
 
-void FluidScheduler::compute_component_reference(Component& comp, SolveScratch& scratch,
-                                                 SolveResult& out) {
-  const TimePoint now = sim_->now();
-  // Keep the dense path's hoisted-elapsed invariant valid even if the
-  // solve method is switched mid-run: every member leaves this solve
-  // integrated to `now`.
-  comp.last_solved = now;
-  if (scratch.res_residual.size() < res_slots_.size()) {
-    scratch.res_residual.resize(res_slots_.size());
-    scratch.res_wsum.resize(res_slots_.size());
-    scratch.res_unfrozen.resize(res_slots_.size());
-    scratch.res_binding.resize(res_slots_.size());
-  }
-  for (const auto slot : comp.res_slots) {
-    FluidResource* res = res_slots_[slot];
-    scratch.res_residual[slot] = res->capacity_;
-    scratch.res_wsum[slot] = 0.0;
-    scratch.res_unfrozen[slot] = 0;
-    scratch.res_binding[slot] = 0;
-    // Close the constant-rate window: pass 1 below re-integrates consumed_
-    // to `now` per flow-share, and assign_max_min_rates re-accumulates the
-    // aggregate rate as it freezes flows at their new rates.
-    res->consume_rate_ = 0.0;
-    res->rate_since_ = now;
-    // Re-stamped by assign_max_min_rates in the round (if any) where the
-    // resource binds; FluidNet offers read the post-solve value.
-    res->bound_level_ = -std::numeric_limits<double>::infinity();
-  }
-
-  // Pass 1 (fused): integrate progress at the rates valid since the last
-  // solve, collect completions, and build the filling inputs (weight sums,
-  // unfrozen counts, first-round cap) for the survivors in one walk. A flow
-  // is done when its residual work cannot be represented on the nanosecond
-  // clock (less than half a tick at the current rate) — this avoids endless
-  // zero-delay reschedules.
-  out.finished.clear();
-  out.next_completion_s = std::numeric_limits<double>::infinity();
-  scratch.unfrozen.clear();
-  double first_cap = std::numeric_limits<double>::infinity();
-  auto& cf = comp.flows;
-  std::size_t out_idx = 0;  // stable compaction: completions fire in start order
-  for (std::size_t i = 0; i < cf.size(); ++i) {
-    Flow* f = cf[i];
-    const Duration elapsed = now - f->last_update_;
-    if (!elapsed.is_zero() && f->rate_ > 0.0) {
-      const double el = elapsed.to_seconds();
-      f->remaining_ -= f->rate_ * el;
-      for (const auto& share : f->shares_) {
-        share.resource->consumed_ += f->rate_ * share.weight * el;
-      }
-    }
-    f->last_update_ = now;
-    const double sub_tick = f->rate_ * 0.5e-9;
-    if (f->remaining_ <= std::max(kEpsilon, sub_tick)) {
-      // `flows_` is read-only during the compute phase (the swap-remove
-      // happens in commit), so taking the strong ref here is safe even when
-      // other components of this scheduler are computing concurrently.
-      out.finished.push_back(flows_[f->global_index_]);
-      finish_flow_local(*f);
-      continue;
-    }
-    cf[out_idx] = f;
-    f->comp_index_ = static_cast<std::uint32_t>(out_idx);
-    ++out_idx;
-    f->rate_ = 0.0;
-    scratch.unfrozen.push_back(f);
-    for (const auto& share : f->shares_) {
-      const auto slot = share.resource->slot_;
-      scratch.res_wsum[slot] += share.weight;
-      ++scratch.res_unfrozen[slot];
-    }
-    first_cap = std::min(first_cap, f->effective_cap());
-  }
-  cf.resize(out_idx);
-
-  // Pass 2: re-solve rates and find the earliest completion.
-  comp.dirty = false;
-  if (!cf.empty()) {
-    out.next_completion_s = assign_max_min_rates(comp, first_cap, scratch);
-    // O(1)-read accounting: the filling left each resource's residual
-    // behind, so its aggregate consumption rate is capacity − residual —
-    // one deterministic subtraction per resource, valid until the next
-    // solve (see FluidResource::consumed()).
-    for (const auto slot : comp.res_slots) {
-      FluidResource* res = res_slots_[slot];
-      res->consume_rate_ = res->capacity_ - scratch.res_residual[slot];
-    }
-  }
-}
-
 void FluidScheduler::commit_component(Component& comp, SolveResult& out) {
   for (const auto& flow : out.finished) {
     retire_flow_global(*flow);
@@ -880,100 +768,6 @@ void FluidScheduler::retire_flow_global(Flow& flow) {
   flows_.pop_back();
   flow.global_index_ = Flow::kNoIndex;
   ++retired_since_rebuild_;
-}
-
-double FluidScheduler::assign_max_min_rates(Component& comp, double first_cap,
-                                            SolveScratch& scratch) {
-  // Progressive filling with weighted consumption: in each round find the
-  // tightest constraint — a resource's equal-rate share
-  // (residual / Σ weights of unfrozen flows on it) or a flow's own cap —
-  // freeze the flows it binds, subtract their consumption, repeat.
-  // Slot-indexed scratch rows and the unfrozen list were prepared by
-  // compute_component's fused pass; `first_cap` is the round-1 cap minimum
-  // (later rounds must recompute it over the still-unfrozen flows).
-  double next = std::numeric_limits<double>::infinity();
-  bool first_round = true;
-  while (!scratch.unfrozen.empty()) {
-    // Tightest constraint this round. Guard on the integer count, not
-    // weight_sum: subtractive updates of tiny weights (1e-9 core-sec/byte)
-    // leave fp residue behind.
-    double bound = std::numeric_limits<double>::infinity();
-    for (const auto slot : comp.res_slots) {
-      if (scratch.res_unfrozen[slot] > 0 && scratch.res_wsum[slot] > 0.0) {
-        bound = std::min(bound,
-                         std::max(0.0, scratch.res_residual[slot]) / scratch.res_wsum[slot]);
-      }
-    }
-    if (first_round) {
-      bound = std::min(bound, first_cap);
-      first_round = false;
-    } else {
-      for (const Flow* f : scratch.unfrozen) {
-        bound = std::min(bound, f->effective_cap());
-      }
-    }
-    NM_CHECK(std::isfinite(bound), "unbounded fluid rate (flow with no finite constraint) in "
-                                       << describe_component(comp));
-
-    // Freeze every flow bound at `bound`: flows whose cap equals the bound,
-    // plus all flows on resources whose share equals the bound.
-    for (const auto slot : comp.res_slots) {
-      const bool binding =
-          scratch.res_unfrozen[slot] > 0 && scratch.res_wsum[slot] > 0.0 &&
-          std::max(0.0, scratch.res_residual[slot]) / scratch.res_wsum[slot] <=
-              bound * (1.0 + 1e-12);
-      scratch.res_binding[slot] = binding ? 1 : 0;
-      if (binding) {
-        // The max-min level this resource saturated at; stable until the
-        // next solve, so FluidNet's exchange can read it after compute.
-        res_slots_[slot]->bound_level_ = bound;
-      }
-    }
-    // Flows frozen exactly at `bound` share one division: min(remaining)
-    // over the group, divided once. Monotone, so bit-identical to dividing
-    // each and taking the min.
-    double bound_min_remaining = std::numeric_limits<double>::infinity();
-    bool froze_any = false;
-    for (std::size_t i = 0; i < scratch.unfrozen.size();) {
-      Flow* f = scratch.unfrozen[i];
-      bool freeze = f->effective_cap() <= bound * (1.0 + 1e-12);
-      if (!freeze) {
-        for (const auto& share : f->shares_) {
-          if (scratch.res_binding[share.resource->slot_] != 0) {
-            freeze = true;
-            break;
-          }
-        }
-      }
-      if (!freeze) {
-        ++i;
-        continue;
-      }
-      const double rate = std::min(bound, f->effective_cap());
-      f->rate_ = rate;
-      for (const auto& share : f->shares_) {
-        const auto slot = share.resource->slot_;
-        scratch.res_residual[slot] -= rate * share.weight;
-        scratch.res_wsum[slot] -= share.weight;
-        NM_CHECK(scratch.res_unfrozen[slot] > 0, "fluid unfrozen-count underflow");
-        --scratch.res_unfrozen[slot];
-      }
-      if (rate == bound) {
-        bound_min_remaining = std::min(bound_min_remaining, f->remaining_);
-      } else if (rate > 0.0) {
-        next = std::min(next, f->remaining_ / rate);
-      }
-      froze_any = true;
-      scratch.unfrozen[i] = scratch.unfrozen.back();
-      scratch.unfrozen.pop_back();
-    }
-    if (bound > 0.0 && std::isfinite(bound_min_remaining)) {
-      next = std::min(next, bound_min_remaining / bound);
-    }
-    NM_CHECK(froze_any,
-             "progressive filling made no progress in " << describe_component(comp));
-  }
-  return next;
 }
 
 void FluidScheduler::arm_timer(Component& comp, double next_completion_s) {

@@ -120,8 +120,8 @@ class FluidResource {
   /// exactly these flows, so a filling round never scans the component.
   std::vector<Flow*> flows_;
   /// Σ weights of the unfinished flows crossing this resource, maintained
-  /// incrementally at admission/finish so the kPartialSort solver can seed
-  /// its weight-sum row without walking every flow's share list. Guard
+  /// incrementally at admission/finish so the solver can seed its
+  /// weight-sum row without walking every flow's share list. Guard
   /// decisions use the integer `flows_.size()`, never this sum: repeated
   /// add/subtract leaves fp residue behind.
   double active_wsum_ = 0.0;
@@ -323,29 +323,6 @@ class FluidScheduler : public FlowRouter {
   /// Number of connected flow/resource components currently tracked.
   [[nodiscard]] std::size_t component_count() const;
 
-  /// Which progressive-filling implementation solves components.
-  /// `kPartialSort` is the production path: the component's finite caps are
-  /// sorted once per solve and walked by a cursor (the partial sort: each
-  /// round only reads the next cap band), binding resources freeze their
-  /// own admission-ordered flow lists, and the per-resource rows live in
-  /// dense slot-indexed scratch arrays. The legacy full-scan rounds are
-  /// retained verbatim as `kFullScanReference` so tests can cross-check the
-  /// two against each other and against brute force.
-  /// Both compute the same max-min fair allocation; freeze ties are broken
-  /// by admission seq in either path.
-  enum class SolveMethod {
-    kPartialSort,
-    kFullScanReference,
-  };
-  void set_solve_method(SolveMethod method) { solve_method_ = method; }
-  [[nodiscard]] SolveMethod solve_method() const { return solve_method_; }
-
-  /// Re-balances every component now. Flow/resource mutations re-solve
-  /// only the affected component, and defer that solve to the end of the
-  /// current simulation instant (no simulated time passes in between), so
-  /// this is only needed as a big-hammer external entry point.
-  void rebalance();
-
  private:
   friend class Flow;
   friend class FluidResource;
@@ -377,16 +354,14 @@ class FluidScheduler : public FlowRouter {
   /// before use, so one scratch can serve components from any scheduler —
   /// it only ever needs to be grown, never cleared.
   struct SolveScratch {
-    // Slot-indexed rows shared by both solvers.
+    /// Slot-indexed rows: residual capacity, unfrozen weight sum and
+    /// unfrozen share count of each resource.
     std::vector<double> res_residual;
     std::vector<double> res_wsum;
     std::vector<std::uint32_t> res_unfrozen;
-    // The reference solver's binding flags and unfrozen-flow list.
-    std::vector<std::uint8_t> res_binding;
-    std::vector<Flow*> unfrozen;
-    /// Dense frozen flags for the kPartialSort solver; index = local flow
-    /// index (position in Component::flows, admission order). Caps and
-    /// residual work are read off the (cache-line-packed) Flow itself.
+    /// Dense frozen flags; index = local flow index (position in
+    /// Component::flows, admission order). Caps and residual work are read
+    /// off the (cache-line-packed) Flow itself.
     std::vector<std::uint8_t> f_frozen;
     /// Slots of the resources that still carry unfrozen flows, compacted
     /// as rounds freeze them out, and each one's water level this round.
@@ -440,9 +415,6 @@ class FluidScheduler : public FlowRouter {
   /// mutates no scheduler-global state; completions and the next timer are
   /// reported through `out` for commit_component.
   void compute_component(Component& comp, SolveScratch& scratch, SolveResult& out);
-  /// The retained legacy compute phase (SolveMethod::kFullScanReference):
-  /// full scans over slot-indexed rows and the unfrozen pointer list.
-  void compute_component_reference(Component& comp, SolveScratch& scratch, SolveResult& out);
   /// Water-level filling over the rows prepared by compute_component: each
   /// round freezes the caps tied at the level (cursor over the sorted cap
   /// array) and the flow lists of the resources binding at it. Returns the
@@ -461,11 +433,6 @@ class FluidScheduler : public FlowRouter {
   void commit_component(Component& comp, SolveResult& out);
   /// Advances progress/consumption at current rates; no completions.
   void integrate_component(Component& comp);
-  /// Weighted progressive-filling rounds over one component, consuming the
-  /// scratch state prepared by compute_component (`first_cap` = round-1 min
-  /// over flow caps). Returns the earliest time-to-completion among its
-  /// flows (seconds; +inf if none progress).
-  double assign_max_min_rates(Component& comp, double first_cap, SolveScratch& scratch);
   void arm_timer(Component& comp, double next_completion_s);
   void on_timer(std::uint64_t key);
 
@@ -505,15 +472,14 @@ class FluidScheduler : public FlowRouter {
   bool pool_dirty_ = false;       // this scheduler has unsettled components
   std::uint32_t pool_domain_ = 0;  // attach order = canonical domain id
 
-  // Solve scratch/result for the serial path (ensure_settled, rebalance,
-  // and every solve when no pool is attached).
+  // Solve scratch/result for the serial path (ensure_settled, and every
+  // solve when no pool is attached).
   SolveScratch serial_scratch_;
   SolveResult serial_result_;
 
   std::size_t retired_since_rebuild_ = 0;
   std::uint32_t next_gen_ = 0;
   std::uint64_t next_flow_seq_ = 0;
-  SolveMethod solve_method_ = SolveMethod::kPartialSort;
 };
 
 /// A topology shard: one independently-solved FluidScheduler over a shared

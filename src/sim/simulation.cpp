@@ -67,127 +67,8 @@ void Simulation::enqueue(TimePoint at, std::coroutine_handle<> h, EventCallback 
       callback_pool_.push_back(std::move(fn));
     }
   }
-  const QueueEntry entry{at, next_seq_++, h, slot};
-  // Park far-future entries on the wheel — but only when something earlier
-  // is already pending. An entry that would be the heap front is promoted
-  // at the very next sync anyway, so parking it is a pure round-trip cost
-  // (the common idle-component case: one completion eta, empty heap).
-  // Either placement dispatches identically; this is purely a heuristic,
-  // and a deterministic one (heap front is part of simulation state).
-  if (at.count_nanos() - now_.count_nanos() >= kWheelMinDelayNs && !queue_.empty() &&
-      queue_.front().at < at) {
-    wheel_insert(entry, now_.count_nanos());
-    return;
-  }
-  heap_push(entry);
-}
-
-void Simulation::heap_push(const QueueEntry& e) {
-  queue_.push_back(e);
+  queue_.push_back(QueueEntry{at, next_seq_++, h, slot});
   std::push_heap(queue_.begin(), queue_.end(), std::greater<>{});
-}
-
-void Simulation::wheel_insert(const QueueEntry& e, std::int64_t cursor_ns) {
-  const std::int64_t delta = e.at.count_nanos() - cursor_ns;
-  if (delta < kWheelMinDelayNs) {
-    heap_push(e);
-    return;
-  }
-  for (int level = 0; level < kWheelLevels; ++level) {
-    if (delta < (std::int64_t{1} << kWheelShift[level + 1])) {
-      const std::size_t idx =
-          static_cast<std::size_t>(e.at.count_nanos() >> kWheelShift[level]) & (kWheelSlots - 1);
-      const std::size_t bucket = static_cast<std::size_t>(level) * kWheelSlots + idx;
-      WheelBucket& b = wheel_[bucket];
-      if (b.entries.empty()) {
-        active_buckets_.push_back(static_cast<std::uint32_t>(bucket));
-      }
-      b.entries.push_back(e);
-      b.min_at = std::min(b.min_at, e.at);
-      wheel_min_at_ = std::min(wheel_min_at_, e.at);
-      ++wheel_count_;
-      return;
-    }
-  }
-  overflow_.push_back(e);
-  overflow_min_ = std::min(overflow_min_, e.at);
-  wheel_min_at_ = std::min(wheel_min_at_, e.at);
-  ++wheel_count_;
-}
-
-void Simulation::sync_wheel() {
-  // `<=` (not `<`): entries tied with the heap front must be promoted before
-  // the front is popped so same-instant dispatch stays in `seq` order.
-  while (wheel_count_ != 0 && (queue_.empty() || wheel_min_at_ <= queue_.front().at)) {
-    flush_min_bucket();
-  }
-}
-
-void Simulation::flush_min_bucket() {
-  // Scan order over `active_buckets_` is insertion order, which is
-  // deterministic; tie order between buckets cannot affect dispatch order
-  // anyway — the heap restores the (at, seq) total order once everything
-  // due is promoted.
-  const TimePoint due = wheel_min_at_;
-  std::size_t pos = active_buckets_.size();
-  for (std::size_t i = 0; i < active_buckets_.size(); ++i) {
-    if (wheel_[active_buckets_[i]].min_at == due) {
-      pos = i;
-      break;
-    }
-  }
-  if (pos != active_buckets_.size()) {
-    const std::uint32_t bucket = active_buckets_[pos];
-    WheelBucket& b = wheel_[bucket];
-    // Deactivate before refiling: a refile may push back into this very
-    // bucket (later-epoch entries that hash onto the same slot), which
-    // re-activates it with its new, strictly later minimum.
-    active_buckets_[pos] = active_buckets_.back();
-    active_buckets_.pop_back();
-    const std::int64_t cursor = b.min_at.count_nanos();
-    wheel_count_ -= b.entries.size();
-    b.min_at = TimePoint::max();
-    if (bucket < kWheelSlots) {
-      // Level 0: promote everything. Entries from a later epoch that hashed
-      // onto this slot reach the heap a little early, which is harmless —
-      // the heap still pops them at their own (at, seq) position.
-      for (const QueueEntry& e : b.entries) {
-        heap_push(e);
-      }
-      b.entries.clear();
-    } else {
-      // Coarser level: refile by distance from the bucket minimum. The due
-      // entry lands in the heap (delta 0); siblings spread into finer
-      // buckets by their distance from it. Copy (not swap) into the
-      // scratch: a swap would rotate storage between buckets, so a
-      // bucket's grown capacity would wander off and steady-state refills
-      // would re-allocate. Entries are 32-byte PODs — the copy is cheap.
-      wheel_scratch_.assign(b.entries.begin(), b.entries.end());
-      b.entries.clear();  // capacity retained, and it stays with this bucket
-      for (const QueueEntry& e : wheel_scratch_) {
-        wheel_insert(e, cursor);
-      }
-      wheel_scratch_.clear();
-    }
-  } else {
-    NM_CHECK(overflow_min_ == due, "timer wheel min accounting out of sync");
-    const std::int64_t cursor = overflow_min_.count_nanos();
-    wheel_count_ -= overflow_.size();
-    overflow_min_ = TimePoint::max();
-    wheel_scratch_.assign(overflow_.begin(), overflow_.end());
-    overflow_.clear();  // capacity retained
-    for (const QueueEntry& e : wheel_scratch_) {
-      wheel_insert(e, cursor);
-    }
-    wheel_scratch_.clear();
-  }
-  // Recompute the cached global minimum: the flushed bucket's stale minimum
-  // may have been the cached value. Only occupied buckets are scanned.
-  TimePoint m = overflow_min_;
-  for (const std::uint32_t bucket : active_buckets_) {
-    m = std::min(m, wheel_[bucket].min_at);
-  }
-  wheel_min_at_ = m;
 }
 
 Simulation::QueueEntry Simulation::pop_next() {
@@ -307,14 +188,8 @@ void Simulation::dispatch_one() {
 
 bool Simulation::step() {
   // Settle hooks may arm timers (so the queue can refill) or complete
-  // flows at `now_`, so they must run before the empty check. Parked wheel
-  // entries are all strictly after `now_` (they were inserted at least
-  // kWheelMinDelayNs out and due ones are promoted before time advances),
-  // so they never defer a settle.
+  // flows at `now_`, so they must run before the empty check.
   maybe_settle();
-  if (wheel_count_ != 0) {
-    sync_wheel();  // after the hooks: they may post nearer entries
-  }
   if (queue_.empty()) {
     return false;
   }
@@ -333,9 +208,6 @@ TimePoint Simulation::run_until(TimePoint deadline) {
     // A pending settle may arm timers at or before `deadline`, so it must
     // run before deciding whether anything is left to execute.
     maybe_settle();
-    if (wheel_count_ != 0) {
-      sync_wheel();  // the heap front must be the global minimum
-    }
     if (queue_.empty() || queue_.front().at > deadline) {
       break;
     }

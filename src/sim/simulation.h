@@ -3,7 +3,6 @@
 // so a given program always executes identically for a given seed.
 #pragma once
 
-#include <array>
 #include <coroutine>
 #include <cstdint>
 #include <functional>
@@ -61,9 +60,8 @@ class Simulation {
   void post(Duration delay, EventCallback fn);
   /// Schedules a plain callback at the absolute instant `at` (must not be
   /// in the past). Open-loop workload generators use this to pin a
-  /// pre-drawn arrival sequence to absolute wall-clock instants — far
-  /// enough out, the entries park on the timer wheel, so a whole window of
-  /// arrivals costs no near-term heap sifts.
+  /// pre-drawn arrival sequence to absolute instants, so arrival times
+  /// never depend on when the generator itself wakes.
   void post_at(TimePoint at, EventCallback fn);
   /// Schedules a coroutine resumption after `delay` (used by awaitables).
   void post_resume(Duration delay, std::coroutine_handle<> h);
@@ -107,9 +105,8 @@ class Simulation {
   /// Number of spawned tasks that have not yet finished. Tests use this to
   /// assert that scenarios quiesce (no deadlocked activity).
   [[nodiscard]] std::size_t live_task_count() const { return live_tasks_; }
-  /// Number of pending queue entries (timers + ready resumptions),
-  /// including far-future entries parked on the timer wheel.
-  [[nodiscard]] std::size_t pending_event_count() const { return queue_.size() + wheel_count_; }
+  /// Number of pending queue entries (timers + ready resumptions).
+  [[nodiscard]] std::size_t pending_event_count() const { return queue_.size(); }
 
  private:
   friend struct Task::FinalAwaiter;
@@ -140,50 +137,6 @@ class Simulation {
   void maybe_settle();
   void drain_destroy_list();
   QueueEntry pop_next();
-  void heap_push(const QueueEntry& e);
-
-  // ---- Hierarchical timer wheel -------------------------------------------
-  //
-  // Far-future entries (>= kWheelMinDelayNs from `now_`) are parked in a
-  // three-level hashed wheel instead of the min-heap, so a large population
-  // of distant timers (background-flow completion etas, WAN keepalives) does
-  // not inflate every near-term heap sift from O(log n_near) to
-  // O(log n_total). Level L buckets entries by bits [shift_L, shift_L+8) of
-  // their absolute nanosecond deadline; deltas beyond the top level land in
-  // a flat overflow list. Buckets are flushed lazily, on demand: before the
-  // kernel inspects the heap front, sync_wheel() promotes every bucket whose
-  // minimum deadline is <= the heap front (ties included), so the heap front
-  // is always the true global minimum. Promoted entries keep their original
-  // `seq`, and all entries of a given instant reach the heap before any of
-  // them is popped, so the dispatch order remains the exact (at, seq) total
-  // order — the wheel is invisible to simulation results. Bucket vectors,
-  // the refile scratch, and the overflow list all retain capacity across
-  // flushes, keeping the steady state allocation-free.
-  static constexpr int kWheelLevels = 3;
-  static constexpr std::size_t kWheelSlots = 256;  // per level; index mask 0xff
-  // Level L holds deltas in [2^kWheelShift[L], 2^kWheelShift[L+1]) — roughly
-  // [1ms, 268ms), [268ms, 69s), [69s, 4.9h); beyond that: overflow.
-  static constexpr std::array<int, kWheelLevels + 1> kWheelShift = {20, 28, 36, 44};
-  // Entries closer than this (~2.1ms) go straight to the heap: they are due
-  // soon enough that parking + promoting would cost more than one sift.
-  static constexpr std::int64_t kWheelMinDelayNs = std::int64_t{1} << 21;
-
-  struct WheelBucket {
-    std::vector<QueueEntry> entries;  // unordered; capacity retained
-    TimePoint min_at = TimePoint::max();
-  };
-
-  // Files `e` into the wheel level matching `at - cursor_ns` (or the heap
-  // when nearer than kWheelMinDelayNs, or overflow when beyond the top
-  // level). `cursor_ns` is `now_` for fresh entries; refiles from a coarse
-  // bucket use the bucket's own minimum so the due entry always reaches the
-  // heap and refiled siblings spread by their distance from it (using `now_`
-  // there could refile a wrapped entry back into its source bucket forever).
-  void wheel_insert(const QueueEntry& e, std::int64_t cursor_ns);
-  // Promotes due buckets until the heap front is the global minimum.
-  void sync_wheel();
-  // Flushes the bucket (or overflow list) holding `wheel_min_at_`.
-  void flush_min_bucket();
 
   TimePoint now_ = TimePoint::origin();
   std::uint64_t seed_;
@@ -200,22 +153,6 @@ class Simulation {
   // pending callbacks here, releasing whatever they still own.
   std::vector<EventCallback> callback_pool_;
   std::vector<std::uint32_t> free_callback_slots_;
-
-  // Timer-wheel state. `wheel_count_` counts entries parked in buckets plus
-  // the overflow list; `wheel_min_at_` caches the global minimum across all
-  // bucket minima and `overflow_min_` (TimePoint::max() when empty) so the
-  // hot-path sync check is a single comparison.
-  std::array<WheelBucket, kWheelLevels * kWheelSlots> wheel_;
-  std::vector<QueueEntry> overflow_;
-  std::vector<QueueEntry> wheel_scratch_;  // refile staging; capacity retained
-  // Indices of non-empty buckets, unordered. Min-finding and min-recompute
-  // scan this list instead of all 768 buckets, so a sparsely-populated wheel
-  // (the common case: one far completion eta per quiet component) costs O(1)
-  // per flush rather than two 24KB sweeps.
-  std::vector<std::uint32_t> active_buckets_;
-  TimePoint overflow_min_ = TimePoint::max();
-  TimePoint wheel_min_at_ = TimePoint::max();
-  std::size_t wheel_count_ = 0;
 
   struct Detached;
   std::map<std::uint64_t, std::unique_ptr<Detached>> detached_;

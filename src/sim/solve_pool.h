@@ -80,7 +80,6 @@ class SolvePool {
   /// settle must run before rates can be observed.
   [[nodiscard]] bool any_dirty() const;
 
-  [[nodiscard]] int worker_count() const { return static_cast<int>(workers_.size()); }
   /// Settle points executed so far, and how many of them had 2+ components
   /// to solve (the ones where parallelism could help).
   [[nodiscard]] std::size_t settle_count() const { return settles_; }

@@ -90,11 +90,6 @@ struct ClientFleetConfig {
   /// Generation window, measured from start(); arrivals stop after it
   /// (in-flight requests still drain to completion).
   Duration window = Duration::seconds(10);
-  /// Arrivals pre-drawn and posted per generator wake-up. At any sane rate
-  /// a batch spans well past the kernel's ~2.1 ms wheel threshold, so the
-  /// pending arrivals park on the timer wheel instead of bloating the
-  /// near-term heap.
-  int batch = 256;
 };
 
 /// Per-phase SLO bucket: latency distribution + error budget.

@@ -1,11 +1,9 @@
-// Randomized property test: the incremental, component-partitioned
-// scheduler must produce the same max-min fair rates as a brute-force
-// reference solver that recomputes the global allocation from scratch, on
-// random topologies and across suspend/resume/cap/capacity mutations.
-// Every topology runs under both production solve methods — the O(N)
-// partial-sort water-level solver and the retained full-scan reference —
-// so both are independently pinned to the brute-force answer within 1e-9
-// (and therefore to each other).
+// Randomized property test: the one production max-min solver — the
+// incremental, component-partitioned FluidScheduler — against a brute-force
+// reference solver (the oracle) that recomputes the global allocation from
+// scratch and shares no state with the scheduler. On 1250 random
+// topologies, and after every suspend/resume/cap/capacity mutation, the two
+// must agree within 1e-9.
 // The same harness cross-checks the O(1) rate-tracked consumption read:
 // every resource's consumed() must match a brute-force integral of
 // (reference rate × weight) over every constant-rate window within 1e-9.
@@ -237,10 +235,9 @@ void check_against_reference(Topology& topo, std::uint32_t seed, int step) {
 /// by the long-schedule band so a rebuild always runs under the oracle.
 int g_rebuild_topologies = 0;
 
-void run_one_topology(std::uint32_t seed, FluidScheduler::SolveMethod method) {
+void run_one_topology(std::uint32_t seed) {
   std::mt19937 rng(seed);
   Topology topo;
-  topo.sched.set_solve_method(method);
   std::uniform_real_distribution<double> cap_dist(0.5, 200.0);
   const std::size_t r_count = 1 + rng() % 8;
   for (std::size_t r = 0; r < r_count; ++r) {
@@ -337,8 +334,7 @@ void run_one_topology(std::uint32_t seed, FluidScheduler::SolveMethod method) {
 TEST(FluidReference, IncrementalMatchesBruteForceOn1000RandomTopologies) {
   g_rebuild_topologies = 0;
   for (std::uint32_t seed = 1; seed <= 1000; ++seed) {
-    run_one_topology(seed, FluidScheduler::SolveMethod::kPartialSort);
-    run_one_topology(seed, FluidScheduler::SolveMethod::kFullScanReference);
+    run_one_topology(seed);
     if (::testing::Test::HasFailure()) {
       break;  // first failing seed is enough to debug
     }
@@ -350,8 +346,7 @@ TEST(FluidReference, IncrementalMatchesBruteForceOn1000RandomTopologies) {
 // comfortably above the 1000-topology floor even if bands are split later.
 TEST(FluidReference, IncrementalMatchesBruteForceOnHighSeeds) {
   for (std::uint32_t seed = 100000; seed < 100250; ++seed) {
-    run_one_topology(seed, FluidScheduler::SolveMethod::kPartialSort);
-    run_one_topology(seed, FluidScheduler::SolveMethod::kFullScanReference);
+    run_one_topology(seed);
     if (::testing::Test::HasFailure()) {
       break;
     }

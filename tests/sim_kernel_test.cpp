@@ -79,47 +79,47 @@ TEST(Simulation, RunUntilStopsAtDeadline) {
   EXPECT_EQ(fired, 2);
 }
 
-// --- Timer wheel -------------------------------------------------------------
-// Far-future timers (>= ~2.1ms out, posted behind an earlier pending entry)
-// are parked on the hierarchical wheel instead of the min-heap. The wheel
-// must be observationally invisible: same dispatch order, same tie-breaks,
-// same pending counts.
+// --- Far timers ---------------------------------------------------------------
+// Every pending entry lives in one binary heap ordered by (at, seq). These
+// cases pin the properties scenarios with many far-future timers rely on:
+// dispatch in time order, post-order tie-breaks, honest pending counts,
+// run_until isolation, and an allocation-free steady state. The suite keeps
+// the name of the timer wheel an earlier kernel used, so test names stay
+// stable.
 
 TEST(TimerWheel, FarTimersFireInOrderAcrossLevelsAndOverflow) {
-  // Horizons spanning every wheel level plus the overflow list — level 0
-  // (~1ms–268ms), level 1 (~268ms–69s), level 2 (~69s–4.9h), overflow
-  // (beyond) — posted out of order behind a near anchor (far entries only
-  // park when something earlier is pending). Dispatch follows absolute time.
+  // Horizons from milliseconds to six hours, posted out of order behind a
+  // near anchor: dispatch follows absolute time, whatever the post order.
   Simulation sim;
   std::vector<int> order;
   sim.post(Duration::millis(1), [&] { order.push_back(0); });
-  sim.post(Duration::minutes(360.0), [&] { order.push_back(5); });  // overflow
-  sim.post(Duration::seconds(100.0), [&] { order.push_back(4); });  // level 2
-  sim.post(Duration::millis(10), [&] { order.push_back(2); });      // level 0
-  sim.post(Duration::seconds(1.0), [&] { order.push_back(3); });    // level 1
-  sim.post(Duration::millis(5), [&] { order.push_back(1); });       // level 0
+  sim.post(Duration::minutes(360.0), [&] { order.push_back(5); });
+  sim.post(Duration::seconds(100.0), [&] { order.push_back(4); });
+  sim.post(Duration::millis(10), [&] { order.push_back(2); });
+  sim.post(Duration::seconds(1.0), [&] { order.push_back(3); });
+  sim.post(Duration::millis(5), [&] { order.push_back(1); });
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
   EXPECT_DOUBLE_EQ(sim.now().to_seconds(), 21600.0);
 }
 
 TEST(TimerWheel, SameInstantTiesKeepPostOrderAcrossHeapAndWheel) {
-  // Three entries at one far instant, landing in different structures: the
-  // first goes to the heap (nothing earlier pending), the later two park on
-  // the wheel. Promotion keeps the original sequence numbers, so the tie
-  // still breaks in post order.
+  // Three entries at one far instant, posted before and after a nearer
+  // one: the tie at the far instant breaks by sequence number, i.e. in
+  // post order.
   Simulation sim;
   std::vector<int> order;
   const Duration far = Duration::seconds(2.0);
-  sim.post(far, [&] { order.push_back(1); });              // heap
+  sim.post(far, [&] { order.push_back(1); });
   sim.post(Duration::millis(1), [&] { order.push_back(0); });
-  sim.post(far, [&] { order.push_back(2); });              // wheel
-  sim.post(far, [&] { order.push_back(3); });              // wheel, same bucket
+  sim.post(far, [&] { order.push_back(2); });
+  sim.post(far, [&] { order.push_back(3); });
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
 TEST(TimerWheel, PendingEventCountIncludesParkedTimers) {
+  // Far timers count as pending from the moment they are posted.
   Simulation sim;
   sim.post(Duration::millis(1), [] {});
   sim.post(Duration::seconds(10.0), [] {});
@@ -131,6 +131,8 @@ TEST(TimerWheel, PendingEventCountIncludesParkedTimers) {
 }
 
 TEST(TimerWheel, RunUntilLeavesParkedTimersIntact) {
+  // run_until dispatches only what is due by the deadline; a later timer
+  // stays pending and fires at its own instant on the next run.
   Simulation sim;
   int fired = 0;
   sim.post(Duration::millis(1), [&] { ++fired; });
@@ -144,13 +146,11 @@ TEST(TimerWheel, RunUntilLeavesParkedTimersIntact) {
 }
 
 TEST(TimerWheel, SteadyStateFarPostsAreAllocationFree) {
-  // Bucket vectors are keyed by absolute time, so "steady state" means
-  // revisiting buckets that were already grown. Aligning each round to a
-  // multiple of 2^36ns (the level-1 wrap) makes every round's absolute
-  // deadlines congruent modulo the level-0 and level-1 wraps — identical
-  // bucket indices — so one warm round sizes everything the measured
-  // rounds touch. Delays stay below the 2^36ns level-1 horizon: level-2
-  // indices shift by one per aligned round and would always be cold.
+  // Rounds of 256 timers spread from 3 ms to a minute out: once one warm
+  // round has grown the heap and the callback slab, later rounds reuse
+  // their storage and allocate nothing. Each round starts at a multiple of
+  // 2^36 ns only to keep the round shape identical from one round to the
+  // next.
   Simulation sim;
   constexpr int kBatch = 256;
   std::uint64_t sink = 0;
@@ -159,14 +159,14 @@ TEST(TimerWheel, SteadyStateFarPostsAreAllocationFree) {
     const std::int64_t wrap = std::int64_t{1} << 36;
     const std::int64_t next = (sim.now().count_nanos() / wrap + 1) * wrap;
     sim.run_until(TimePoint::from_nanos(next));
-    sim.post(Duration::nanos(1), [] {});  // anchor: lets far posts park
+    sim.post(Duration::nanos(1), [] {});  // a near anchor ahead of the far posts
     for (int i = 0; i < kBatch; ++i) {
       sim.post(Duration::millis(3 + (i * 229) % 60000),
                [sink_p, a = static_cast<std::uint64_t>(i)] { *sink_p += a; });
     }
     sim.run();
   };
-  round();  // warm every bucket, the refile scratch, heap, and callback slab
+  round();  // warm the heap and callback slab
   g_alloc_count.store(0, std::memory_order_relaxed);
   g_count_allocs.store(true, std::memory_order_relaxed);
   for (int r = 0; r < 4; ++r) {
@@ -174,7 +174,7 @@ TEST(TimerWheel, SteadyStateFarPostsAreAllocationFree) {
   }
   g_count_allocs.store(false, std::memory_order_relaxed);
   EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0)
-      << "far post()/run() allocated on the steady-state timer-wheel path";
+      << "far post()/run() allocated on the steady-state timer path";
   EXPECT_EQ(sink, 5ull * kBatch * (kBatch - 1) / 2);
 }
 

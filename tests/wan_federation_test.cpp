@@ -789,8 +789,8 @@ FederatedRun run_cross_site_migration(int solve_workers) {
   EXPECT_EQ(&vm->host(), dst) << "workers=" << solve_workers;
   EXPECT_GT(out.done_ns, 0) << "workers=" << solve_workers;
   EXPECT_EQ(fed.unconverged_exchange_count(), 0u) << "workers=" << solve_workers;
-  EXPECT_GT(fed.exchange_round_count(), 0u) << "workers=" << solve_workers;
-  EXPECT_LT(fed.max_exchange_rounds_per_settle(), 256u) << "workers=" << solve_workers;
+  EXPECT_GT(fed.net().exchange_round_count(), 0u) << "workers=" << solve_workers;
+  EXPECT_LT(fed.net().max_exchange_rounds_per_settle(), 256u) << "workers=" << solve_workers;
   return out;
 }
 
