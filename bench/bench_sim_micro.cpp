@@ -8,6 +8,7 @@
 // directory so the perf trajectory can be tracked across PRs.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -230,6 +231,51 @@ void BM_FluidHotComponent(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FluidHotComponent)->Arg(64 << 10);
+
+// Completion-timer churn on one long-lived component: a long flow shares a
+// NIC with a competing flow that runs in short bursts (resume, 2 us,
+// suspend, 2 us). Each burst re-solves the component twice and moves the
+// long flow's completion timer twice, once later and once earlier. The
+// timer is re-keyed in place, so the queue holds only live entries
+// (pending_peak stays at a handful) and the path allocates nothing. The
+// bursts reuse one flow because admitting a fresh flow allocates the Flow,
+// and retiring flows triggers epoch rebuilds that allocate; neither is the
+// timer path this gates.
+void BM_FluidTimerRearm(benchmark::State& state) {
+  sim::Simulation sim;
+  sim::FluidScheduler sched(sim);
+  sim::FluidResource nic(sched, "nic", 1e9);
+  auto long_flow = sched.start(sim::FlowSpec{.work = 1e18}.over(nic));
+  auto burst = sched.start(sim::FlowSpec{.work = 1e18}.over(nic));
+  std::size_t pending_peak = 0;
+  const auto one_burst = [&] {
+    burst->resume();
+    pending_peak = std::max(pending_peak, sim.pending_event_count());
+    sim.run_for(Duration::micros(2));
+    burst->suspend();
+    pending_peak = std::max(pending_peak, sim.pending_event_count());
+    sim.run_for(Duration::micros(2));
+  };
+  burst->suspend();
+  for (int i = 0; i < 64; ++i) {  // warm the queue, slab and solve scratch
+    one_burst();
+  }
+  std::int64_t events = 0;
+  g_alloc_count.store(0, std::memory_order_relaxed);
+  for (auto _ : state) {
+    g_count_allocs.store(true, std::memory_order_relaxed);
+    one_burst();
+    g_count_allocs.store(false, std::memory_order_relaxed);
+    ++events;
+  }
+  benchmark::DoNotOptimize(long_flow->remaining());
+  state.SetItemsProcessed(events);
+  state.counters["allocs_per_event"] =
+      benchmark::Counter(static_cast<double>(g_alloc_count.load(std::memory_order_relaxed)) /
+                         static_cast<double>(std::max<std::int64_t>(events, 1)));
+  state.counters["pending_peak"] = benchmark::Counter(static_cast<double>(pending_peak));
+}
+BENCHMARK(BM_FluidTimerRearm);
 
 // Exchange-aware batching guard: a depth-D domain chain with a tight head
 // resource, slack middle resources soaked by local load, and one boundary

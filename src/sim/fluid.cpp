@@ -315,8 +315,9 @@ void FluidScheduler::merge_into(Component& dst, Component& src) {
   if (src.dirty) {
     mark_dirty(dst);
   }
+  cancel_timer(src);
   const auto id = src.id;
-  comps_[id].reset();  // outstanding timers die on the null check
+  comps_[id].reset();
   free_comp_ids_.push_back(id);
   --live_comp_count_;
 }
@@ -728,10 +729,10 @@ void FluidScheduler::commit_component(Component& comp, SolveResult& out) {
     arm_timer(comp, out.next_completion_s);
   } else {
     // Dissolve: a later flow on these resources starts a fresh component.
-    // Outstanding timers die on the null/generation check.
     for (const auto slot : comp.res_slots) {
       slot_comp_[slot] = kNone;
     }
+    cancel_timer(comp);
     const auto id = comp.id;
     comps_[id].reset();
     free_comp_ids_.push_back(id);
@@ -771,9 +772,9 @@ void FluidScheduler::retire_flow_global(Flow& flow) {
 }
 
 void FluidScheduler::arm_timer(Component& comp, double next_completion_s) {
-  comp.gen = ++next_gen_;
   if (!std::isfinite(next_completion_s)) {
-    return;  // nothing is progressing; a future mutation will re-arm
+    cancel_timer(comp);  // nothing is progressing; a future mutation will re-arm
+    return;
   }
   // Round up to the next nanosecond tick so the completing solve runs
   // at-or-after the true completion instant (never an instant before, which
@@ -782,18 +783,26 @@ void FluidScheduler::arm_timer(Component& comp, double next_completion_s) {
   constexpr double kMaxDelayNs = 4.0e18;  // ~127 sim-years, safely below int64 max
   const double ns = std::ceil(std::max(next_completion_s, 0.0) * 1e9);
   const auto delay_ns = static_cast<std::int64_t>(std::min(ns, kMaxDelayNs));
-  const std::uint64_t key = (static_cast<std::uint64_t>(comp.id) << 32) | comp.gen;
-  sim_->post(Duration::nanos(std::max<std::int64_t>(delay_ns, 1)),
-             [this, key] { on_timer(key); });
+  const Duration delay = Duration::nanos(std::max<std::int64_t>(delay_ns, 1));
+  // Re-keying draws the sequence number a fresh post would draw here, so
+  // the timer runs exactly where a replacement post would have.
+  if (!sim_->reschedule(comp.timer, delay)) {
+    comp.timer = sim_->post_cancelable(delay, [this, id = comp.id] { on_timer(id); });
+  }
 }
 
-void FluidScheduler::on_timer(std::uint64_t key) {
-  const auto id = static_cast<std::uint32_t>(key >> 32);
-  const auto gen = static_cast<std::uint32_t>(key);
+void FluidScheduler::cancel_timer(Component& comp) {
+  sim_->cancel(comp.timer);
+  comp.timer = {};
+}
+
+void FluidScheduler::on_timer(std::uint32_t id) {
   auto* comp = id < comps_.size() ? comps_[id].get() : nullptr;
-  if (comp == nullptr || comp->gen != gen) {
-    return;  // superseded by a later solve, merge, or rebuild
-  }
+  // Every path that retires a component or supersedes its timer cancels or
+  // re-keys the entry, so the entry firing now is the component's own.
+  NM_CHECK(comp != nullptr && comp->timer && !sim_->pending(comp->timer),
+           "completion timer fired for a retired or re-armed component " << id);
+  comp->timer = {};
   if (pool_ != nullptr) {
     // Pool mode: completion timers mark instead of solving inline, so every
     // timer firing at this instant — across all attached domains — lands in
@@ -826,6 +835,7 @@ void FluidScheduler::rebuild_components() {
   for (auto& comp : comps_) {
     if (comp != nullptr) {
       integrate_component(*comp);
+      cancel_timer(*comp);
     }
   }
   comps_.clear();

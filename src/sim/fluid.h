@@ -332,11 +332,13 @@ class FluidScheduler : public FlowRouter {
   static constexpr std::uint32_t kNone = 0xffffffffU;
 
   /// A connected component of the flow/resource bipartite graph: the unit
-  /// of incremental re-solving. `gen` invalidates its outstanding
-  /// next-completion timer; it changes on every solve/merge/rebuild.
+  /// of incremental re-solving. `timer` is its one pending next-completion
+  /// entry, if any: each solve re-keys it in place, and retiring the
+  /// component (merge, dissolve, rebuild) or an infinite next completion
+  /// cancels it, so the event queue never holds a superseded timer.
   struct Component {
     std::uint32_t id = kNone;
-    std::uint32_t gen = 0;
+    Simulation::Ticket timer;
     bool dirty = false;
     std::vector<Flow*> flows;
     std::vector<std::uint32_t> res_slots;
@@ -433,8 +435,12 @@ class FluidScheduler : public FlowRouter {
   void commit_component(Component& comp, SolveResult& out);
   /// Advances progress/consumption at current rates; no completions.
   void integrate_component(Component& comp);
+  /// Re-keys (or posts) the component's completion timer for the given
+  /// time-to-completion; cancels it when that is infinite.
   void arm_timer(Component& comp, double next_completion_s);
-  void on_timer(std::uint64_t key);
+  void on_timer(std::uint32_t id);
+  /// Cancels a retiring component's pending completion timer.
+  void cancel_timer(Component& comp);
 
   /// Flow-retire bookkeeping; components over-approximate connectivity
   /// until enough flows have retired, then are recomputed from scratch
@@ -478,7 +484,6 @@ class FluidScheduler : public FlowRouter {
   SolveResult serial_result_;
 
   std::size_t retired_since_rebuild_ = 0;
-  std::uint32_t next_gen_ = 0;
   std::uint64_t next_flow_seq_ = 0;
 };
 

@@ -1,6 +1,5 @@
 #include "sim/simulation.h"
 
-#include <algorithm>
 #include <functional>
 #include <utility>
 
@@ -29,16 +28,18 @@ struct Simulation::Detached {
 };
 
 namespace {
-// Initial slab for the queue and callback pool. Sized so short-lived
-// micro-episodes (a handful of flows plus their settle timers) never pay
-// the cold geometric growths; steady-state behavior is unchanged because
-// slots are free-listed and the vectors never shrink.
+// Initial slab for the heap, the lane and the callback pool. Sized so
+// short-lived micro-episodes (a handful of flows plus their settle timers)
+// never pay the cold geometric growths; steady-state behavior is unchanged
+// because slots are free-listed and the vectors never shrink.
 constexpr std::size_t kInitialSlab = 128;
 }  // namespace
 
 Simulation::Simulation(std::uint64_t seed) : seed_(seed) {
   queue_.reserve(kInitialSlab);
+  lane_.resize(kInitialSlab);
   callback_pool_.reserve(kInitialSlab);
+  slots_.reserve(kInitialSlab);
   free_callback_slots_.reserve(kInitialSlab);
 }
 
@@ -54,28 +55,128 @@ Simulation::~Simulation() {
   drain_destroy_list();
 }
 
+std::uint32_t Simulation::store_callback(EventCallback fn) {
+  if (!fn) {
+    return kNoCallback;
+  }
+  if (!free_callback_slots_.empty()) {
+    const std::uint32_t slot = free_callback_slots_.back();
+    free_callback_slots_.pop_back();
+    callback_pool_[slot] = std::move(fn);
+    return slot;
+  }
+  const auto slot = static_cast<std::uint32_t>(callback_pool_.size());
+  callback_pool_.push_back(std::move(fn));
+  slots_.emplace_back();
+  return slot;
+}
+
+void Simulation::release_slot(std::uint32_t slot) {
+  ++slots_[slot].gen;  // every outstanding ticket for the slot goes stale
+  free_callback_slots_.push_back(slot);
+}
+
 void Simulation::enqueue(TimePoint at, std::coroutine_handle<> h, EventCallback fn) {
   NM_CHECK(at >= now_, "cannot schedule into the past");
-  std::uint32_t slot = kNoCallback;
-  if (fn) {
-    if (!free_callback_slots_.empty()) {
-      slot = free_callback_slots_.back();
-      free_callback_slots_.pop_back();
-      callback_pool_[slot] = std::move(fn);
-    } else {
-      slot = static_cast<std::uint32_t>(callback_pool_.size());
-      callback_pool_.push_back(std::move(fn));
-    }
+  const QueueEntry entry{at, next_seq_++, h, store_callback(std::move(fn)), false};
+  if (at == now_) {
+    lane_push(entry);
+  } else {
+    heap_push(entry);
   }
-  queue_.push_back(QueueEntry{at, next_seq_++, h, slot});
-  std::push_heap(queue_.begin(), queue_.end(), std::greater<>{});
+}
+
+void Simulation::lane_push(const QueueEntry& entry) {
+  if (lane_size_ == lane_.size()) {
+    // Full: unroll the ring into one twice the size.
+    std::vector<QueueEntry> grown(2 * lane_.size());
+    for (std::size_t i = 0; i < lane_size_; ++i) {
+      grown[i] = lane_[(lane_head_ + i) & (lane_.size() - 1)];
+    }
+    lane_ = std::move(grown);
+    lane_head_ = 0;
+  }
+  lane_[(lane_head_ + lane_size_) & (lane_.size() - 1)] = entry;
+  ++lane_size_;
+}
+
+void Simulation::heap_push(const QueueEntry& entry) {
+  queue_.push_back(entry);
+  heap_sift_up(queue_.size() - 1, entry);
+}
+
+void Simulation::heap_sift_up(std::size_t hole, const QueueEntry& entry) {
+  while (hole > 0) {
+    const std::size_t parent = (hole - 1) / 2;
+    if (!(entry < queue_[parent])) {
+      break;
+    }
+    heap_place(hole, queue_[parent]);
+    hole = parent;
+  }
+  heap_place(hole, entry);
+}
+
+void Simulation::heap_fix(std::size_t i, const QueueEntry& entry) {
+  if (i > 0 && entry < queue_[(i - 1) / 2]) {
+    heap_sift_up(i, entry);
+    return;
+  }
+  const std::size_t n = queue_.size();
+  std::size_t hole = i;
+  while (true) {
+    std::size_t child = 2 * hole + 1;
+    if (child >= n) {
+      break;
+    }
+    if (child + 1 < n && queue_[child + 1] < queue_[child]) {
+      ++child;
+    }
+    if (!(queue_[child] < entry)) {
+      break;
+    }
+    heap_place(hole, queue_[child]);
+    hole = child;
+  }
+  heap_place(hole, entry);
+}
+
+Simulation::QueueEntry Simulation::heap_pop() {
+  const QueueEntry top = queue_.front();
+  const QueueEntry last = queue_.back();
+  queue_.pop_back();
+  const std::size_t n = queue_.size();
+  if (n == 0) {
+    return top;
+  }
+  // Bottom-up (Floyd): walk the hole down the smaller-child path to a leaf,
+  // then sift the displaced last entry up from there. The last entry is
+  // usually among the latest, so this saves the per-level comparison with
+  // it that a plain sift-down makes.
+  std::size_t hole = 0;
+  while (true) {
+    std::size_t child = 2 * hole + 1;
+    if (child >= n) {
+      break;
+    }
+    if (child + 1 < n && queue_[child + 1] < queue_[child]) {
+      ++child;
+    }
+    heap_place(hole, queue_[child]);
+    hole = child;
+  }
+  heap_sift_up(hole, last);
+  return top;
 }
 
 Simulation::QueueEntry Simulation::pop_next() {
-  std::pop_heap(queue_.begin(), queue_.end(), std::greater<>{});
-  QueueEntry entry = std::move(queue_.back());
-  queue_.pop_back();
-  return entry;
+  if (lane_size_ != 0 && (queue_.empty() || lane_[lane_head_] < queue_.front())) {
+    const QueueEntry entry = lane_[lane_head_];
+    lane_head_ = (lane_head_ + 1) & (lane_.size() - 1);
+    --lane_size_;
+    return entry;
+  }
+  return heap_pop();
 }
 
 void Simulation::post(Duration delay, EventCallback fn) {
@@ -92,6 +193,44 @@ void Simulation::post_resume(Duration delay, std::coroutine_handle<> h) {
   NM_CHECK(!delay.is_negative(), "negative delay");
   NM_CHECK(h != nullptr, "null coroutine handle");
   enqueue(now_ + delay, h, {});
+}
+
+Simulation::Ticket Simulation::post_cancelable(Duration delay, EventCallback fn) {
+  NM_CHECK(delay > Duration::zero(), "a cancelable post needs a positive delay");
+  NM_CHECK(static_cast<bool>(fn), "null callback");
+  const std::uint32_t slot = store_callback(std::move(fn));
+  heap_push(QueueEntry{now_ + delay, next_seq_++, nullptr, slot, true});
+  return Ticket{slot, slots_[slot].gen};
+}
+
+bool Simulation::reschedule(Ticket ticket, Duration delay) {
+  NM_CHECK(delay > Duration::zero(), "a cancelable entry needs a positive delay");
+  if (!pending(ticket)) {
+    return false;
+  }
+  const std::size_t i = slots_[ticket.slot].pos;
+  QueueEntry entry = queue_[i];
+  entry.at = now_ + delay;
+  entry.seq = next_seq_++;
+  heap_fix(i, entry);
+  return true;
+}
+
+bool Simulation::cancel(Ticket ticket) {
+  if (!pending(ticket)) {
+    return false;
+  }
+  const std::size_t i = slots_[ticket.slot].pos;
+  const QueueEntry last = queue_.back();
+  queue_.pop_back();
+  if (i < queue_.size()) {
+    heap_fix(i, last);
+  }
+  // Move the callback out and release the slot first: its captures are
+  // destroyed on return, and their destructors may post.
+  const EventCallback dropped = std::move(callback_pool_[ticket.slot]);
+  release_slot(ticket.slot);
+  return true;
 }
 
 TaskRef Simulation::spawn(Task task, std::string name) {
@@ -157,7 +296,7 @@ void Simulation::maybe_settle() {
   if (!settle_requested_) {
     return;
   }
-  if (!queue_.empty() && queue_.front().at <= now_) {
+  if (!queue_empty() && next_at() <= now_) {
     return;  // the current instant is still playing out; defer
   }
   settle_requested_ = false;
@@ -176,7 +315,7 @@ void Simulation::dispatch_one() {
     // Move the callback out and recycle its slot before invoking: the
     // callback may itself post (re-entering the pool).
     EventCallback cb = std::move(callback_pool_[entry.slot]);
-    free_callback_slots_.push_back(entry.slot);
+    release_slot(entry.slot);
     cb();
   }
   drain_destroy_list();
@@ -190,7 +329,7 @@ bool Simulation::step() {
   // Settle hooks may arm timers (so the queue can refill) or complete
   // flows at `now_`, so they must run before the empty check.
   maybe_settle();
-  if (queue_.empty()) {
+  if (queue_empty()) {
     return false;
   }
   dispatch_one();
@@ -208,7 +347,7 @@ TimePoint Simulation::run_until(TimePoint deadline) {
     // A pending settle may arm timers at or before `deadline`, so it must
     // run before deciding whether anything is left to execute.
     maybe_settle();
-    if (queue_.empty() || queue_.front().at > deadline) {
+    if (queue_empty() || next_at() > deadline) {
       break;
     }
     dispatch_one();

@@ -66,6 +66,33 @@ class Simulation {
   /// Schedules a coroutine resumption after `delay` (used by awaitables).
   void post_resume(Duration delay, std::coroutine_handle<> h);
 
+  /// Handle to a cancelable entry (see post_cancelable). It goes stale once
+  /// the entry fires or is cancelled; a later post that recycles the
+  /// entry's callback slot draws a new generation, so a stale ticket never
+  /// reaches it. A default-constructed ticket names no entry.
+  struct Ticket {
+    std::uint32_t slot = kNoCallback;
+    std::uint32_t gen = 0;
+    [[nodiscard]] explicit operator bool() const { return slot != kNoCallback; }
+  };
+  /// Schedules a callback after `delay` (> 0) that can later be re-keyed
+  /// or cancelled through the returned ticket.
+  Ticket post_cancelable(Duration delay, EventCallback fn);
+  /// Moves a pending entry to `now() + delay` (`delay` > 0), ordered as if
+  /// it were cancelled and posted afresh now: after every entry already
+  /// pending for its new instant, before any posted later. Returns false,
+  /// and does nothing, when the ticket is stale.
+  bool reschedule(Ticket ticket, Duration delay);
+  /// Removes a pending entry and destroys its callback, releasing whatever
+  /// the callback owns. Returns false, and does nothing, when the ticket is
+  /// stale.
+  bool cancel(Ticket ticket);
+  /// True while the ticket's entry is queued (posted, not yet fired or
+  /// cancelled).
+  [[nodiscard]] bool pending(Ticket ticket) const {
+    return ticket.slot < slots_.size() && slots_[ticket.slot].gen == ticket.gen;
+  }
+
   /// Starts `task` as a detached activity at the current time.
   TaskRef spawn(Task task, std::string name = {});
 
@@ -106,14 +133,14 @@ class Simulation {
   /// assert that scenarios quiesce (no deadlocked activity).
   [[nodiscard]] std::size_t live_task_count() const { return live_tasks_; }
   /// Number of pending queue entries (timers + ready resumptions).
-  [[nodiscard]] std::size_t pending_event_count() const { return queue_.size(); }
+  [[nodiscard]] std::size_t pending_event_count() const { return queue_.size() + lane_size_; }
 
  private:
   friend struct Task::FinalAwaiter;
 
   static constexpr std::uint32_t kNoCallback = 0xffffffffU;
 
-  /// Heap entry: a trivially-copyable 32-byte key. Callback payloads live
+  /// Queue entry: a trivially-copyable 32-byte key. Callback payloads live
   /// in `callback_pool_` (referenced by `slot`), so heap sifts move plain
   /// PODs — no per-level type-erased relocation — and a callback is moved
   /// exactly once on post and once on pop.
@@ -122,12 +149,22 @@ class Simulation {
     std::uint64_t seq;
     std::coroutine_handle<> handle;  // resumption entries; null otherwise
     std::uint32_t slot;              // callback entries; kNoCallback otherwise
-    bool operator>(const QueueEntry& o) const {
-      return at != o.at ? at > o.at : seq > o.seq;
+    bool cancelable;                 // a Ticket names it: its heap index is tracked
+    bool operator<(const QueueEntry& o) const {
+      return at != o.at ? at < o.at : seq < o.seq;
     }
+  };
+  /// Per callback slot: the heap index of its entry while a Ticket names
+  /// it, and the generation a Ticket must carry to reach it (bumped every
+  /// time the slot is released).
+  struct SlotState {
+    std::uint32_t pos = 0;
+    std::uint32_t gen = 0;
   };
 
   void enqueue(TimePoint at, std::coroutine_handle<> h, EventCallback fn);
+  std::uint32_t store_callback(EventCallback fn);
+  void release_slot(std::uint32_t slot);
   void on_detached_done(std::uint64_t id, std::exception_ptr exception);
   bool step();  // runs due settle hooks + one queue entry; false when empty
   void dispatch_one();  // executes the front queue entry (queue non-empty)
@@ -136,22 +173,54 @@ class Simulation {
   // so all marks from one instant batch into a single hook invocation.
   void maybe_settle();
   void drain_destroy_list();
+  [[nodiscard]] bool queue_empty() const { return lane_size_ == 0 && queue_.empty(); }
+  /// Instant of the next entry to run (queue non-empty). Lane entries are
+  /// all due at `now_`, no later than anything in the heap.
+  [[nodiscard]] TimePoint next_at() const { return lane_size_ != 0 ? now_ : queue_.front().at; }
   QueueEntry pop_next();
+  // The binary heap, by hand: every move goes through heap_place so the
+  // heap index of a cancelable entry is always current.
+  void heap_place(std::size_t i, const QueueEntry& entry) {
+    queue_[i] = entry;
+    if (entry.cancelable) {
+      slots_[entry.slot].pos = static_cast<std::uint32_t>(i);
+    }
+  }
+  void heap_push(const QueueEntry& entry);
+  QueueEntry heap_pop();
+  void heap_sift_up(std::size_t hole, const QueueEntry& entry);
+  /// Re-seats `entry` at index `i` (after a re-key or an erase), sifting
+  /// whichever way its key requires.
+  void heap_fix(std::size_t i, const QueueEntry& entry);
+  void lane_push(const QueueEntry& entry);
 
   TimePoint now_ = TimePoint::origin();
   std::uint64_t seed_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t next_task_id_ = 1;
-  // Min-heap on (at, seq), maintained by hand with push_heap/pop_heap
-  // (std::priority_queue::top() returns a const reference, which cannot
-  // hand ownership of a move-only callback to step()). Pop order — and
-  // therefore execution order — is the total order (at, seq) regardless of
-  // internal heap layout, so determinism is unaffected.
+  // Pending entries live in two structures whose union is popped in the
+  // total order (at, seq) — the simulated instant, then the sequence number
+  // drawn at post (or re-key) time:
+  //  - `queue_`, a binary min-heap holding every entry due after the
+  //    instant it was posted at. Written by hand, not with push_heap /
+  //    pop_heap, so it can re-key or remove a cancelable entry in place
+  //    (one sift) instead of leaving a superseded entry to drain.
+  //  - `lane_`, a FIFO ring of the entries posted for the current instant
+  //    (zero-delay posts, spawns, Event wake-ups). Each draws a larger seq
+  //    than every entry already queued and time cannot advance while one
+  //    is pending, so the lane is sorted by construction and pop_next only
+  //    merges its head with the heap's front.
+  // Pop order is therefore independent of heap layout, and same-instant
+  // entries run in post order.
   std::vector<QueueEntry> queue_;
+  std::vector<QueueEntry> lane_;  // power-of-two ring
+  std::size_t lane_head_ = 0;
+  std::size_t lane_size_ = 0;
   // Slab of pending callbacks, free-listed; slots are recycled so the
   // steady state allocates nothing. Destroying the simulation destroys
   // pending callbacks here, releasing whatever they still own.
   std::vector<EventCallback> callback_pool_;
+  std::vector<SlotState> slots_;  // parallel to callback_pool_
   std::vector<std::uint32_t> free_callback_slots_;
 
   struct Detached;

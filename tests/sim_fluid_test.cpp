@@ -3,6 +3,7 @@
 // properties under randomized loads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -390,6 +391,63 @@ TEST(Fluid, ManySequentialFlowsKeepClockExact) {
   }(sim, sched, nic, done_at));
   sim.run();
   EXPECT_NEAR(done_at, 1000.0, 1e-3);
+}
+
+// Every re-solve supersedes the component's pending completion timer. The
+// timer must move, not multiply: a long flow re-solved by a stream of 1000
+// short flows keeps at most a handful of queue entries, and once it
+// completes nothing is left to run, so run() returns its completion
+// instant. The long flow starts nearly stalled, which puts its first timer
+// at the ~127-year clamp; a superseded copy of that timer left in the queue
+// would show up as run()'s return value.
+TEST(Fluid, SupersededCompletionTimersLeaveTheQueue) {
+  Simulation sim;
+  FluidScheduler sched(sim);
+  FluidResource nic("nic", 100.0);
+  auto long_flow = sched.start(FlowSpec{.work = 1000.0, .max_rate = 1e-12}.over(nic));
+  TimePoint long_done;
+  sim.spawn([](Simulation& s, Flow& f, TimePoint& t) -> Task {
+    co_await f.completion().wait();
+    t = s.now();
+  }(sim, *long_flow, long_done));
+  std::size_t peak = 0;
+  int shorts = 0;
+  sim.spawn([](Simulation& s, FluidScheduler& sc, FluidResource& r, Flow& lf, std::size_t& pk,
+               int& n) -> Task {
+    co_await s.delay(Duration::millis(1));
+    lf.set_max_rate(kUncappedRate);
+    for (int i = 0; i < 1000; ++i) {
+      auto f = sc.start(FlowSpec{.work = 0.01}.over(r));
+      pk = std::max(pk, s.pending_event_count());
+      co_await f->completion().wait();
+      pk = std::max(pk, s.pending_event_count());
+      ++n;
+    }
+  }(sim, sched, nic, *long_flow, peak, shorts));
+  const TimePoint end = sim.run();
+  EXPECT_EQ(shorts, 1000);
+  ASSERT_TRUE(long_flow->finished());
+  EXPECT_LE(peak, 3u) << "superseded completion timers stayed queued";
+  // The NIC runs at capacity from 1 ms on: 1000 + 1000 x 0.01 units at 100/s.
+  EXPECT_NEAR(long_done.to_seconds(), 0.001 + 1010.0 / 100.0, 1e-6);
+  EXPECT_EQ(end, long_done) << "run() returned a superseded timer's instant";
+  EXPECT_EQ(sim.pending_event_count(), 0u);
+}
+
+TEST(Fluid, NearZeroRateTimerMovesOffTheClamp) {
+  // A flow at 1e-12 units/s arms a timer at the ~127-year clamp; raising
+  // its cap re-keys that timer to the real completion instead of leaving
+  // the clamped one queued behind it.
+  Simulation sim;
+  FluidScheduler sched(sim);
+  FluidResource nic("nic", 10.0);
+  auto flow = sched.start(FlowSpec{.work = 50.0, .max_rate = 1e-12}.over(nic));
+  sim.run_for(Duration::seconds(1.0));
+  EXPECT_EQ(sim.pending_event_count(), 1u);  // the clamped completion timer
+  flow->set_max_rate(kUncappedRate);
+  EXPECT_EQ(sim.run(), TimePoint::origin() + Duration::seconds(6.0));
+  EXPECT_TRUE(flow->finished());
+  EXPECT_EQ(sim.pending_event_count(), 0u);
 }
 
 }  // namespace

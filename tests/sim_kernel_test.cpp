@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <new>
 #include <string>
@@ -15,6 +16,7 @@
 #include "sim/sync.h"
 #include "sim/task.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 // GCC pairs the std::free in the replaced operator delete below against
 // whatever allocation it inlined at each call site and warns; the pair is
@@ -176,6 +178,212 @@ TEST(TimerWheel, SteadyStateFarPostsAreAllocationFree) {
   EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0)
       << "far post()/run() allocated on the steady-state timer path";
   EXPECT_EQ(sink, 5ull * kBatch * (kBatch - 1) / 2);
+}
+
+// --- Cancelable entries and the same-instant lane ---------------------------
+// post_cancelable hands out a ticket that re-keys or removes its entry in
+// place; entries posted for the current instant skip the heap for a FIFO
+// lane. Neither may change what runs when: the pop order stays (at, seq).
+
+TEST(TimerTickets, CancelledEntryNeverRunsAndReleasesCapturesAtCancel) {
+  Simulation sim;
+  auto payload = std::make_shared<int>(7);
+  bool ran = false;
+  const auto ticket =
+      sim.post_cancelable(Duration::seconds(1.0), [payload, &ran] { ran = *payload == 7; });
+  EXPECT_EQ(payload.use_count(), 2);
+  EXPECT_TRUE(sim.pending(ticket));
+  EXPECT_EQ(sim.pending_event_count(), 1u);
+  EXPECT_TRUE(sim.cancel(ticket));
+  EXPECT_EQ(payload.use_count(), 1) << "cancel must destroy the callback's captures";
+  EXPECT_FALSE(sim.pending(ticket));
+  EXPECT_EQ(sim.pending_event_count(), 0u);
+  EXPECT_EQ(sim.run(), TimePoint::origin());
+  EXPECT_FALSE(ran);
+}
+
+TEST(TimerTickets, StaleTicketIsANoOpEvenAfterItsSlotIsRecycled) {
+  Simulation sim;
+  int first = 0;
+  int second = 0;
+  const auto stale = sim.post_cancelable(Duration::millis(1), [&] { ++first; });
+  sim.run();
+  EXPECT_EQ(first, 1);
+  EXPECT_FALSE(sim.pending(stale));
+  // The next post reuses the freed callback slot under a new generation.
+  const auto live = sim.post_cancelable(Duration::millis(5), [&] { ++second; });
+  ASSERT_EQ(live.slot, stale.slot);
+  EXPECT_FALSE(sim.cancel(stale));
+  EXPECT_FALSE(sim.reschedule(stale, Duration::seconds(9.0)));
+  EXPECT_TRUE(sim.pending(live));
+  EXPECT_EQ(sim.run(), TimePoint::origin() + Duration::millis(6));
+  EXPECT_EQ(second, 1);
+  // A fired live ticket is stale too.
+  EXPECT_FALSE(sim.cancel(live));
+  EXPECT_FALSE(sim.reschedule(live, Duration::millis(1)));
+  EXPECT_EQ(sim.pending_event_count(), 0u);
+}
+
+TEST(TimerTickets, RekeyedEntryTiesExactlyLikeCancelPlusPost) {
+  // At t = 1 s an entry due at 9 s is moved to 3 s, between plain posts for
+  // 3 s made before and after the move. Re-keying and cancel + post must
+  // give the same order: after the earlier posts, before the later ones.
+  const auto order_with = [](bool rekey) {
+    Simulation sim;
+    std::vector<std::string> order;
+    auto ticket = sim.post_cancelable(Duration::seconds(9.0), [&] { order.push_back("moved"); });
+    sim.post(Duration::seconds(3.0), [&] { order.push_back("before-1"); });
+    sim.post(Duration::seconds(1.0), [&] {
+      sim.post(Duration::seconds(2.0), [&] { order.push_back("before-2"); });
+      if (rekey) {
+        EXPECT_TRUE(sim.reschedule(ticket, Duration::seconds(2.0)));
+      } else {
+        EXPECT_TRUE(sim.cancel(ticket));
+        ticket = sim.post_cancelable(Duration::seconds(2.0), [&] { order.push_back("moved"); });
+      }
+      sim.post(Duration::seconds(2.0), [&] { order.push_back("after"); });
+    });
+    EXPECT_EQ(sim.run(), TimePoint::origin() + Duration::seconds(3.0));
+    return order;
+  };
+  const std::vector<std::string> want{"before-1", "before-2", "moved", "after"};
+  EXPECT_EQ(order_with(true), want);
+  EXPECT_EQ(order_with(false), want);
+}
+
+TEST(TimerTickets, RandomRekeysAndCancelsKeepTheReferenceOrder) {
+  // Property check against a sorted reference: random posts, cancelable
+  // posts, re-keys (earlier and later) and cancels in a heap of a few
+  // hundred entries must dispatch exactly the live entries, in (at, seq)
+  // order, where a re-key draws a fresh seq.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Simulation sim;
+    Rng rng = Rng::stream(seed, "ticket-property");
+    std::uint64_t seq = 0;
+    std::map<std::pair<std::int64_t, std::uint64_t>, int> want;  // (at, seq) -> id
+    std::map<int, std::pair<std::int64_t, std::uint64_t>> key_of;
+    std::vector<std::pair<int, Simulation::Ticket>> tickets;
+    std::vector<int> got;
+    for (int id = 0; id < 400; ++id) {
+      const auto delay = Duration::nanos(1 + static_cast<std::int64_t>(rng.next_below(50)));
+      const std::pair<std::int64_t, std::uint64_t> key{delay.count_nanos(), seq++};
+      want[key] = id;
+      key_of[id] = key;
+      if (rng.next_below(2) == 0) {
+        sim.post(delay, [&got, id] { got.push_back(id); });
+      } else {
+        tickets.emplace_back(id, sim.post_cancelable(delay, [&got, id] { got.push_back(id); }));
+      }
+      if (!tickets.empty() && rng.next_below(3) == 0) {
+        const auto pick = static_cast<std::size_t>(rng.next_below(tickets.size()));
+        auto [victim, ticket] = tickets[pick];
+        want.erase(key_of[victim]);
+        if (rng.next_below(2) == 0) {
+          ASSERT_TRUE(sim.cancel(ticket));
+          tickets.erase(tickets.begin() + static_cast<std::ptrdiff_t>(pick));
+        } else {
+          const auto to = Duration::nanos(1 + static_cast<std::int64_t>(rng.next_below(50)));
+          ASSERT_TRUE(sim.reschedule(ticket, to));
+          key_of[victim] = {to.count_nanos(), seq++};
+          want[key_of[victim]] = victim;
+        }
+      }
+    }
+    EXPECT_EQ(sim.pending_event_count(), want.size());
+    sim.run();
+    std::vector<int> expected;
+    for (const auto& [key, id] : want) {
+      expected.push_back(id);
+    }
+    EXPECT_EQ(got, expected) << "seed " << seed;
+  }
+}
+
+TEST(TimerTickets, ZeroDelayPostsInterleaveWithDueHeapEntriesBySequence) {
+  // Entries due at t = 1 s were posted earlier, so their seqs precede every
+  // zero-delay post made at 1 s: the lane runs after them, in post order,
+  // whatever the kind of entry (post, post_at(now), spawn, Event wake-up).
+  Simulation sim;
+  std::vector<std::string> order;
+  Event ev(sim);
+  sim.spawn([](Event& e, std::vector<std::string>& out) -> Task {
+    co_await e.wait();
+    out.push_back("woken");
+  }(ev, order));
+  sim.run();  // park the waiter
+  sim.post(Duration::seconds(1.0), [&] {
+    order.push_back("heap-1");
+    sim.post(Duration::zero(), [&] { order.push_back("lane-1"); });
+    ev.set();
+    sim.post_at(sim.now(), [&] { order.push_back("lane-2"); });
+    sim.spawn([](std::vector<std::string>& out) -> Task {
+      out.push_back("spawned");
+      co_return;
+    }(order));
+  });
+  sim.post(Duration::seconds(1.0), [&] {
+    order.push_back("heap-2");
+    sim.post(Duration::zero(), [&] { order.push_back("lane-3"); });
+  });
+  sim.post(Duration::seconds(1.0), [&] { order.push_back("heap-3"); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"heap-1", "heap-2", "heap-3", "lane-1", "woken",
+                                             "lane-2", "spawned", "lane-3"}));
+}
+
+TEST(TimerTickets, ZeroDelayPostsCountAsPendingAndRunUnderRunUntilNow) {
+  Simulation sim;
+  sim.run_until(TimePoint::origin() + Duration::seconds(2.0));
+  int ran = 0;
+  sim.post(Duration::zero(), [&] { ++ran; });
+  sim.post_at(sim.now(), [&] { ++ran; });
+  sim.post(Duration::millis(1), [&] { ++ran; });
+  EXPECT_EQ(sim.pending_event_count(), 3u);
+  EXPECT_EQ(sim.run_until(sim.now()), TimePoint::origin() + Duration::seconds(2.0));
+  EXPECT_EQ(ran, 2);
+  EXPECT_EQ(sim.pending_event_count(), 1u);
+  sim.run();
+  EXPECT_EQ(ran, 3);
+}
+
+TEST(TimerTickets, SteadyStateRekeyAndCancelAreAllocationFree) {
+  // Rounds of 256 cancelable timers: each is re-keyed twice (once later,
+  // once earlier), every third is cancelled, and the rest drain. After one
+  // warm round has grown the heap and slab, rounds allocate nothing.
+  Simulation sim;
+  constexpr int kBatch = 256;
+  std::uint64_t sink = 0;
+  std::uint64_t* sink_p = &sink;
+  std::vector<Simulation::Ticket> tickets(kBatch);
+  const auto round = [&] {
+    for (int i = 0; i < kBatch; ++i) {
+      tickets[i] = sim.post_cancelable(Duration::micros(1 + (i * 37) % 500),
+                                       [sink_p, a = static_cast<std::uint64_t>(i)] { *sink_p += a; });
+    }
+    for (int i = 0; i < kBatch; ++i) {
+      EXPECT_TRUE(sim.reschedule(tickets[i], Duration::millis(2 + i % 7)));
+      EXPECT_TRUE(sim.reschedule(tickets[i], Duration::micros(1 + (i * 91) % 700)));
+      if (i % 3 == 0) {
+        EXPECT_TRUE(sim.cancel(tickets[i]));
+      }
+    }
+    sim.run();
+  };
+  round();  // warm the heap and callback slab
+  sink = 0;
+  g_alloc_count.store(0, std::memory_order_relaxed);
+  g_count_allocs.store(true, std::memory_order_relaxed);
+  for (int r = 0; r < 4; ++r) {
+    round();
+  }
+  g_count_allocs.store(false, std::memory_order_relaxed);
+  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0)
+      << "post_cancelable/reschedule/cancel allocated in the steady state";
+  std::uint64_t want = 0;
+  for (int i = 0; i < kBatch; ++i) {
+    want += i % 3 == 0 ? 0 : static_cast<std::uint64_t>(i);
+  }
+  EXPECT_EQ(sink, 4 * want);
 }
 
 TEST(Simulation, DelayAdvancesClock) {
