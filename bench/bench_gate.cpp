@@ -1,7 +1,5 @@
 // Value-pinned determinism gates: one table, one row per gate. Each row
-// runs its scenario at every listed solve-worker count and fails unless
-//   - the row's timeline outputs equal the first (0-worker) run's, bit for
-//     bit, at every other worker count;
+// runs its scenario once (plus an optional comparison run) and fails unless
 //   - the row's invariants hold on every run;
 //   - the BENCH_*.json it writes into the working directory matches the
 //     committed bench/BENCH_*.baseline.json of the same name, key for key
@@ -62,11 +60,11 @@ using Metrics = std::map<std::string, std::uint64_t>;
 // making the exchange batches span domains.
 constexpr int kCrossPodNodes = 32;
 
-Metrics cross_domain(int workers) {
+Metrics cross_domain() {
   Metrics m;
   for (const int pods : {2, 4}) {
     sim::Simulation sim;
-    sim::FluidNet net(sim, workers);
+    sim::FluidNet net(sim);
     auto& core = net.add_domain("core");
     sim::FluidResource spine(core.scheduler(), "spine", 40e9);
     std::vector<sim::FluidDomain*> pod_domain;
@@ -98,7 +96,7 @@ Metrics cross_domain(int workers) {
         }
       }
     }
-    m["pods" + std::to_string(pods) + "/final_ns"] = sim.run().count_nanos();
+    m["pods" + std::to_string(pods) + "_final_ns"] = sim.run().count_nanos();
     m["unconverged"] += net.unconverged_exchange_count();
   }
   return m;
@@ -113,7 +111,7 @@ sim::Task evacuate_vm(vmm::Vm& vm, vmm::Host& dst) {
   co_await vm.host().migrate(vm, dst);
 }
 
-Metrics federated_evacuation(int workers) {
+Metrics federated_evacuation() {
   core::FederationConfig fcfg;
   fcfg.site_a.ib_nodes = 0;
   fcfg.site_a.eth_nodes = 4;
@@ -122,7 +120,6 @@ Metrics federated_evacuation(int workers) {
   fcfg.wan.line_rate = Bandwidth::gbps(1);    // the paper's continental target
   fcfg.wan.rtt = Duration::millis(50);
   fcfg.wan.loss = 0.001;
-  fcfg.solve_workers = workers;
   core::Federation fed(fcfg);
 
   std::vector<std::shared_ptr<vmm::Vm>> vms;
@@ -156,7 +153,7 @@ Metrics federated_evacuation(int workers) {
 
 // --- sweep9: planned mass evacuation over a 5-site mesh --------------------
 
-Metrics mesh_evacuation(int workers, bool sequential) {
+Metrics mesh_evacuation(bool sequential) {
   // Same shape as examples/mass_evacuation.cpp, sized for CI: dc0 is the
   // failing site, dc1..dc3 are direct neighbours, dc4 is two hops out so
   // the planner's multi-hop routes carry real traffic.
@@ -175,7 +172,6 @@ Metrics mesh_evacuation(int workers, bool sequential) {
   metro.loss = 0.0001;
   fcfg.edges = {{0, 1, metro}, {0, 2, metro}, {0, 3, metro},
                 {1, 4, metro}, {2, 4, metro}};
-  fcfg.solve_workers = workers;
   core::Federation fed(fcfg);
 
   Metrics m;
@@ -211,16 +207,13 @@ Metrics mesh_evacuation(int workers, bool sequential) {
 
 // --- sweep10: SLO-visible migration under open-loop service load -----------
 
-Metrics service_slo(int workers) {
+Metrics service_slo() {
   // CI-sized cousin of examples/live_service: 2 KV servers under 2 fleets
   // of open-loop traffic, the loaded kv0 migrated onto a spare blade while
   // its clients keep hammering it.
   core::TestbedConfig config;
-  config.solve_workers = workers;
-  // Second (empty) shard: force the SolvePool on even at 0 workers so the
-  // sweep compares the pool's settle schedule against itself and measures
-  // parallelism alone (the legacy zero-delay path is a different — equally
-  // deterministic — same-instant event order; see DESIGN.md §10).
+  // Second (empty) shard: settle through the SolvePool's end-of-instant
+  // batch, the path this row's baseline was pinned on (see DESIGN.md §10).
   config.fluid_shards = 2;
   core::Testbed testbed(config);
 
@@ -272,7 +265,7 @@ Metrics service_slo(int workers) {
 
 // --- sweep11: oversubscribed Clos evacuation, leaf-aware vs blind ----------
 
-Metrics clos_evacuation(int workers, bool topology_blind) {
+Metrics clos_evacuation(bool topology_blind) {
   // CI-sized cousin of `examples/mass_evacuation`'s Clos scenario: dc0
   // drains 12 hosts racked 4-per-leaf under three 4:1-oversubscribed
   // leaves into two 2-leaf 2:1 refuges. Equal VM sizes make the blind
@@ -304,7 +297,6 @@ Metrics clos_evacuation(int workers, bool topology_blind) {
   wan.loss = 0.00001;
   fcfg.edges = {{0, 1, wan}, {0, 2, wan}};
   fcfg.uplink_rate = Bandwidth::gbps(100);  // WAN gateways are not the story
-  fcfg.solve_workers = workers;
   core::Federation fed(fcfg);
 
   Metrics m;
@@ -345,11 +337,9 @@ Metrics clos_evacuation(int workers, bool topology_blind) {
 // utilisation ~0.9), kv0 migrated off its draining host at t=2 s while 4
 // fleets keep an open loop of 10,400 req/s on the service. Outputs are
 // prefixed with `name`.
-void run_policy_episode(const std::string& name, policy::PolicySet policies, int workers,
-                        Metrics& m) {
+void run_policy_episode(const std::string& name, policy::PolicySet policies, Metrics& m) {
   core::TestbedConfig config;
-  config.solve_workers = workers;
-  // Pool on even at 0 workers, as in sweep10 (see DESIGN.md §10).
+  // Settle through the SolvePool, as in sweep10 (see DESIGN.md §10).
   config.fluid_shards = 2;
   core::Testbed testbed(config);
 
@@ -404,15 +394,15 @@ void run_policy_episode(const std::string& name, policy::PolicySet policies, int
 
 const char* const kPolicyRuns[] = {"static", "slo_throttle", "quiet_pause"};
 
-Metrics policy_ablation(int workers) {
+Metrics policy_ablation() {
   Metrics m;
-  run_policy_episode("static", {}, workers, m);
+  run_policy_episode("static", {}, m);
   policy::PolicySet throttle;
   throttle.use(policy::Hook::kPreCopyRound, std::make_shared<policy::SloThrottlePolicy>());
-  run_policy_episode("slo_throttle", std::move(throttle), workers, m);
+  run_policy_episode("slo_throttle", std::move(throttle), m);
   policy::PolicySet quiet;
   quiet.use(policy::Hook::kPauseDecision, std::make_shared<policy::QuietPausePolicy>());
-  run_policy_episode("quiet_pause", std::move(quiet), workers, m);
+  run_policy_episode("quiet_pause", std::move(quiet), m);
   m["requests"] = m.at("static_generated");
   return m;
 }
@@ -446,28 +436,18 @@ struct Gate {
   std::string name;
   /// The row writes <stem>.json and compares it with bench/<stem>.baseline.json.
   std::string stem;
-  /// Solve-worker counts; the first run is the reference.
-  std::vector<int> workers;
-  std::function<Metrics(int workers)> run;
-  /// Emitted for every worker count as "workers<W>_<key>" (a scoped
-  /// "<scope>/<key>" as "<scope>_workers<W>_<key>"); each must equal the
-  /// reference run's.
-  std::vector<std::string> timeline;
-  /// Must also equal the reference run's, but are not emitted per worker.
-  std::vector<std::string> identical;
+  std::function<Metrics()> run;
   /// Hold on every run, the comparison run included.
   std::vector<Check> invariants;
   /// Optional comparison run (a naive-sequential or topology-blind
-  /// baseline). Its outputs join the reference run's for `outcome` and
-  /// `summary`.
+  /// baseline). Its outputs join the run's for `outcome` and `keys`; on a
+  /// shared key the run's value wins.
   std::function<Metrics()> comparison;
-  /// Hold on the joined reference and comparison outputs.
+  /// Hold on the joined outputs.
   std::vector<Check> outcome;
-  /// Emitted once, from the joined outputs.
-  std::vector<std::string> summary;
+  /// Emitted in this order from the joined outputs.
+  std::vector<std::string> keys;
 };
-
-const std::vector<int> kAllWorkers = {0, 1, 2, 4};
 
 // Overall p999 ceiling for sweep10: steady-state p999 in that scenario is
 // ~6 ms and the blackout cohort tops out around the ~20 ms pause, so 50 ms
@@ -481,58 +461,48 @@ constexpr std::uint64_t kBlackoutCeilingNs = 30'000'000;
 const Gate kGates[] = {
     {.name = "sweep7",
      .stem = "BENCH_scalability_sweep7",
-     .workers = kAllWorkers,
      .run = cross_domain,
-     .timeline = {"pods2/final_ns", "pods4/final_ns"},
-     .invariants = {kConverged}},
+     .invariants = {kConverged},
+     .keys = {"pods2_final_ns", "pods4_final_ns"}},
     {.name = "sweep8",
      .stem = "BENCH_scalability_sweep8",
-     .workers = kAllWorkers,
      .run = federated_evacuation,
-     .timeline = {"evac_done_ns", "final_ns"},
-     .invariants = {kConverged}},
+     .invariants = {kConverged},
+     .keys = {"evac_done_ns", "final_ns"}},
     {.name = "sweep9",
      .stem = "BENCH_scalability_sweep9",
-     .workers = kAllWorkers,
-     .run = [](int workers) { return mesh_evacuation(workers, /*sequential=*/false); },
-     .timeline = {"evac_done_ns", "final_ns"},
-     .identical = {"waves"},
+     .run = [] { return mesh_evacuation(/*sequential=*/false); },
      .invariants = {kEveryVmLands, kConverged},
-     .comparison = [] { return mesh_evacuation(0, /*sequential=*/true); },
+     .comparison = [] { return mesh_evacuation(/*sequential=*/true); },
      .outcome = {{"the plan strictly beats the sequential run",
                   [](const Metrics& m) {
                     return m.at("planner_makespan_ns") < m.at("sequential_makespan_ns");
                   }}},
-     .summary = {"planner_makespan_ns", "sequential_makespan_ns"}},
+     .keys = {"evac_done_ns", "final_ns", "waves", "planner_makespan_ns",
+              "sequential_makespan_ns"}},
     {.name = "sweep10",
      .stem = "BENCH_scalability_sweep10",
-     .workers = kAllWorkers,
      .run = service_slo,
-     .timeline = {"final_ns"},
-     .identical = {"service_digest"},
      .invariants = {{"every request completes",
                      [](const Metrics& m) { return m.at("completed") == m.at("requests"); }},
                     {"p999 <= 50 ms",
                      [](const Metrics& m) { return m.at("p999_ns") <= kP999CeilingNs; }},
                     {"blackout > 0", [](const Metrics& m) { return m.at("blackout_ns") > 0; }},
                     kConverged},
-     .summary = {"service_digest", "requests", "deadline_misses", "p999_ns", "blackout_ns"}},
+     .keys = {"final_ns", "service_digest", "requests", "deadline_misses", "p999_ns",
+              "blackout_ns"}},
     {.name = "sweep11",
      .stem = "BENCH_scalability_sweep11",
-     .workers = kAllWorkers,
-     .run = [](int workers) { return clos_evacuation(workers, /*topology_blind=*/false); },
-     .timeline = {"evac_done_ns", "final_ns"},
-     .identical = {"waves"},
+     .run = [] { return clos_evacuation(/*topology_blind=*/false); },
      .invariants = {kEveryVmLands, kConverged},
-     .comparison = [] { return clos_evacuation(0, /*topology_blind=*/true); },
+     .comparison = [] { return clos_evacuation(/*topology_blind=*/true); },
      .outcome = {{"the leaf-aware plan is no worse than the topology-blind run",
                   [](const Metrics& m) {
                     return m.at("aware_makespan_ns") <= m.at("blind_makespan_ns");
                   }}},
-     .summary = {"aware_makespan_ns", "blind_makespan_ns"}},
+     .keys = {"evac_done_ns", "final_ns", "waves", "aware_makespan_ns", "blind_makespan_ns"}},
     {.name = "policies",
      .stem = "BENCH_ablation_policies",
-     .workers = {0},
      .run = policy_ablation,
      .invariants = {{"every variant finishes its episode and its requests",
                      [](const Metrics& m) {
@@ -554,21 +524,13 @@ const Gate kGates[] = {
                      [](const Metrics& m) {
                        return m.at("slo_throttle_blackout_ns") <= kBlackoutCeilingNs;
                      }}},
-     .summary = policy_keys()},
+     .keys = policy_keys()},
 };
 
 // --- The runner ------------------------------------------------------------------
 
 /// Key/value-text pairs in emission order.
 using Json = std::vector<std::pair<std::string, std::string>>;
-
-std::string worker_key(const std::string& key, int workers) {
-  const std::string tag = "workers" + std::to_string(workers) + "_";
-  const std::size_t slash = key.find('/');
-  return slash == std::string::npos
-             ? tag + key
-             : key.substr(0, slash) + "_" + tag + key.substr(slash + 1);
-}
 
 bool write_json(const std::string& path, const Json& values) {
   std::ofstream out(path);
@@ -619,39 +581,18 @@ bool run_gate(const Gate& g) {
     }
   };
 
-  const std::string reference_run = "workers=" + std::to_string(g.workers.front());
-  Metrics reference;
-  // Sorted by key, which is also the order the baselines list them in.
-  std::map<std::string, std::string> per_worker;
-  for (const int w : g.workers) {
-    const Metrics m = g.run(w);
-    const std::string run = "workers=" + std::to_string(w);
-    if (w == g.workers.front()) {
-      reference = m;
-    }
-    check(g.invariants, m, run);
-    for (const auto* keys : {&g.timeline, &g.identical}) {
-      for (const std::string& k : *keys) {
-        if (m.at(k) != reference.at(k)) {
-          failures.push_back(run + ": " + k + " = " + std::to_string(m.at(k)) + " differs from " +
-                             reference_run + "'s " + std::to_string(reference.at(k)));
-        }
-      }
-    }
-    for (const std::string& k : g.timeline) {
-      per_worker[worker_key(k, w)] = std::to_string(m.at(k));
-    }
-  }
+  Metrics m = g.run();
+  check(g.invariants, m, "run");
   if (g.comparison) {
     const Metrics comparison = g.comparison();
     check(g.invariants, comparison, "comparison run");
-    reference.insert(comparison.begin(), comparison.end());
+    m.insert(comparison.begin(), comparison.end());
   }
-  check(g.outcome, reference, "outcome");
+  check(g.outcome, m, "outcome");
 
-  Json emitted(per_worker.begin(), per_worker.end());
-  for (const std::string& k : g.summary) {
-    emitted.emplace_back(k, std::to_string(reference.at(k)));
+  Json emitted;
+  for (const std::string& k : g.keys) {
+    emitted.emplace_back(k, std::to_string(m.at(k)));
   }
   if (!write_json(g.stem + ".json", emitted)) {
     failures.push_back("cannot write " + g.stem + ".json");

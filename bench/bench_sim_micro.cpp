@@ -289,7 +289,7 @@ void BM_DeepChainExchange(benchmark::State& state) {
   constexpr int kToggles = 64;
   struct Env {
     sim::Simulation sim;
-    sim::FluidNet net{sim, 0};
+    sim::FluidNet net{sim};
     std::vector<std::unique_ptr<sim::FluidResource>> res;
     std::vector<sim::FlowPtr> flows;
     explicit Env(int d) {

@@ -49,8 +49,8 @@ struct Pod {
 };
 
 /// Builds pod `p` (`node_count` nodes + NIC ports) entirely inside
-/// `domain`. Pure resource registration: no simulation posts, so pods on
-/// distinct domains can be built from distinct threads.
+/// `domain`. Pure resource registration: it posts nothing to the
+/// simulation.
 inline Pod build_pod(sim::FluidDomain& domain, int p, int node_count) {
   Pod pod;
   pod.cluster = std::make_unique<hw::Cluster>("pod" + std::to_string(p));

@@ -20,15 +20,14 @@
 // each site were flat. Blind waves concentrate on the first source racks
 // and realize a fraction of their planned rates, stretching makespan and
 // busting the downtime bound; the aware plan's rates are exactly
-// realized. The aware run repeats at 0/1/2/4 solve workers and must be
-// bit-identical.
+// realized.
 //
 //   $ ./examples/mass_evacuation [vms_per_host]
 //
 // Exits non-zero unless the planner beats the sequential baseline, the
 // p99 per-VM downtime respects the configured bound, the topology-aware
 // Clos evacuation strictly beats the blind one while keeping every VM
-// inside the bound, and the worker sweep is bit-identical.
+// inside the bound.
 #include <iostream>
 #include <memory>
 #include <string>
@@ -137,7 +136,7 @@ RunResult run_mode(bool sequential, int vms_per_host, bool swap_policy = false) 
 
 constexpr double kClosStreamCap = 500e6;  // bytes/s, = 4 Gbps thread rate
 
-core::FederationConfig clos_mesh_config(int solve_workers) {
+core::FederationConfig clos_mesh_config() {
   core::FederationConfig fcfg;
   core::TestbedConfig source;
   source.ib_nodes = 0;
@@ -162,20 +161,16 @@ core::FederationConfig clos_mesh_config(int solve_workers) {
   wan.loss = 0.00001;
   fcfg.edges = {{0, 1, wan}, {0, 2, wan}};
   fcfg.uplink_rate = Bandwidth::gbps(100);  // WAN gateways are not the story here
-  fcfg.solve_workers = solve_workers;
   return fcfg;
 }
 
 struct ClosResult {
   core::EvacuationReport report;
   std::size_t fleet = 0;
-  /// Per-VM (start, done, downtime) timeline — equal strings mean
-  /// bit-identical runs.
-  std::string fingerprint;
 };
 
-ClosResult run_clos(bool topology_blind, int solve_workers) {
-  core::Federation fed(clos_mesh_config(solve_workers));
+ClosResult run_clos(bool topology_blind) {
+  core::Federation fed(clos_mesh_config());
 
   std::vector<std::shared_ptr<vmm::Vm>> vms;
   auto& source = fed.site(0);
@@ -223,11 +218,6 @@ ClosResult run_clos(bool topology_blind, int solve_workers) {
     done = true;
   }(evac, result.report, evacuation_done));
   fed.sim().run();
-  for (const core::VmOutcome& vm : result.report.vms) {
-    result.fingerprint += vm.vm + ":" + std::to_string(vm.start_ns) + ":" +
-                          std::to_string(vm.done_ns) + ":" +
-                          std::to_string(vm.downtime.count_nanos()) + "\n";
-  }
   return result;
 }
 
@@ -292,8 +282,8 @@ int main(int argc, char** argv) {
   // --- Clos scenario: topology-aware vs topology-blind. -----------------
   std::cout << "\nevacuating a 48-VM fleet out of a 4:1-oversubscribed Clos fabric "
                "(3 leaves x 8 hosts) into two 2-leaf refuges...\n";
-  ClosResult aware = run_clos(/*topology_blind=*/false, /*solve_workers=*/0);
-  ClosResult blind = run_clos(/*topology_blind=*/true, /*solve_workers=*/0);
+  const ClosResult aware = run_clos(/*topology_blind=*/false);
+  const ClosResult blind = run_clos(/*topology_blind=*/true);
   TextTable clos_table({"mode", "makespan", "waves", "p99 downtime", "max downtime"});
   const auto clos_row = [&clos_table](const std::string& mode, const core::EvacuationReport& r) {
     clos_table.add_row({mode, TextTable::num(r.makespan().to_seconds(), 1) + " s",
@@ -321,16 +311,6 @@ int main(int argc, char** argv) {
   if (aware.report.downtime_max() > bound) {
     std::cout << "FAIL: a topology-aware VM exceeded the downtime bound\n";
     ok = false;
-  }
-  for (int workers : {1, 2, 4}) {
-    ClosResult repeat = run_clos(/*topology_blind=*/false, workers);
-    if (repeat.fingerprint != aware.fingerprint) {
-      std::cout << "FAIL: Clos evacuation timeline differs at solve_workers=" << workers << "\n";
-      ok = false;
-    }
-  }
-  if (ok) {
-    std::cout << "Clos timelines bit-identical at 0/1/2/4 solve workers\n";
   }
   return ok ? 0 : 1;
 }

@@ -16,9 +16,9 @@
 // never oversubscribe an edge, each migration realizes exactly its
 // planned rate, so the pre-copy estimator is accurate and realized
 // downtime respects MigrationConfig::max_downtime. All inputs to a grant
-// are deterministic functions of simulated state at that instant, so
-// evacuation timelines are bit-identical at every solve-worker count
-// (pinned by wan_federation_test and bench_gate's sweep9 row).
+// are deterministic functions of simulated state at that instant, so an
+// evacuation timeline is reproducible to the nanosecond (pinned by value in
+// wan_federation_test and bench_gate's sweep9 row).
 #pragma once
 
 #include <cstdint>

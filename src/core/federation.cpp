@@ -8,7 +8,7 @@
 namespace nm::core {
 
 Federation::Federation(FederationConfig config)
-    : config_(std::move(config)), sim_(config_.seed), net_(sim_, config_.solve_workers) {
+    : config_(std::move(config)), sim_(config_.seed), net_(sim_) {
   // Normalize the two-site shorthand into the mesh form so everything
   // downstream is N-site code.
   if (config_.sites.empty()) {

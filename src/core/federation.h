@@ -11,8 +11,8 @@
 // the edge mesh, computed with a deterministic BFS at construction and
 // re-computable against the live mesh after partitions
 // (recompute_routes()). Determinism is inherited wholesale: one event
-// queue, canonical-order commits, timelines bit-identical at every
-// solve_workers count (wan_federation_test pins it).
+// queue and canonical-order commits (wan_federation_test pins the
+// timelines by value).
 //
 // The sites mount one geo-replicated shared store (the cross-site
 // equivalent of the paper's NFS mount) — live migration requires source and
@@ -67,10 +67,8 @@ struct FederationConfig {
   Bandwidth uplink_rate = Bandwidth::gbps(10);
   /// Throughput of the geo-replicated store all sites mount.
   Bandwidth geo_storage_rate = Bandwidth::mib_per_sec(300);
-  /// Worker threads in the shared SolvePool (the per-site configs'
-  /// solve_workers/seed are ignored; the clock and pool are federation-
-  /// wide).
-  int solve_workers = 0;
+  /// Seed of the shared simulation (the per-site configs' seeds are
+  /// ignored; the clock is federation-wide).
   std::uint64_t seed = 1;
 };
 
@@ -165,7 +163,7 @@ class Federation {
   FederationConfig config_;
   sim::Simulation sim_;
   // Destroyed after everything below: the net's pool detaches schedulers
-  // and joins workers while the simulation is alive.
+  // while the simulation is alive.
   sim::FluidNet net_;
   std::unique_ptr<vmm::SharedStorage> storage_;
   std::vector<std::string> site_names_;

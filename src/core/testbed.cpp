@@ -15,7 +15,7 @@ void Testbed::init_shards() {
 Testbed::Testbed(TestbedConfig config)
     : config_(std::move(config)),
       owned_sim_(std::make_unique<sim::Simulation>(config_.seed)),
-      owned_net_(std::make_unique<sim::FluidNet>(*owned_sim_, config_.solve_workers)),
+      owned_net_(std::make_unique<sim::FluidNet>(*owned_sim_)),
       sim_(owned_sim_.get()),
       net_(owned_net_.get()),
       ib_cluster_("agc-ib"),

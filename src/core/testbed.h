@@ -54,14 +54,6 @@ struct TestbedConfig {
   /// blade's tx, the destination blade's rx, and the shared resources as a
   /// cross-domain flow solved by the boundary exchange (DESIGN.md §6).
   bool blade_domains = false;
-  /// Worker threads in the FluidNet's SolvePool, which settles dirty fluid
-  /// domains in parallel at the end of each simulated instant. 0 (default)
-  /// creates no threads; the pool itself exists only when workers > 0 or a
-  /// second domain is added (boundary flows need its exchange loop), so a
-  /// default testbed keeps the legacy zero-delay settle path exactly. Any
-  /// worker count yields the same event timeline — the pool commits in
-  /// canonical (domain, component) order (sim_sharding_test pins this).
-  int solve_workers = 0;
   std::uint64_t seed = 1;
 
   TestbedConfig() {
@@ -81,8 +73,8 @@ class Testbed {
   /// prefixed with "<site>:" so the two sites' namespaces stay disjoint,
   /// and `shared_storage` (when given) is mounted instead of a private NFS
   /// store — cross-site migration requires the shared mount. The config's
-  /// `solve_workers` and `seed` are ignored here: both belong to the
-  /// federation's shared simulation.
+  /// `seed` is ignored here: it belongs to the federation's shared
+  /// simulation.
   Testbed(TestbedConfig config, sim::Simulation& sim, sim::FluidNet& net, std::string site,
           vmm::SharedStorage* shared_storage = nullptr);
   Testbed(const Testbed&) = delete;
@@ -149,8 +141,8 @@ class Testbed {
   TestbedConfig config_;
   // Standalone mode owns these; a federated testbed aliases the
   // federation's. Declared net-after-sim so destruction detaches the pool
-  // (joining workers, removing the kernel hook) while the simulation is
-  // alive — same invariant as before the Federation split.
+  // (removing the kernel hook) while the simulation is alive — same
+  // invariant as before the Federation split.
   std::unique_ptr<sim::Simulation> owned_sim_;
   std::unique_ptr<sim::FluidNet> owned_net_;
   sim::Simulation* sim_ = nullptr;

@@ -21,10 +21,10 @@
 // a named util::Rng stream is hashed with the (src leaf, dst leaf) pair
 // and a per-fabric flow sequence number. Flows start in task context, so
 // under the one-event-queue rule the sequence — and therefore every pick
-// — is bit-identical at every SolvePool worker count. Dead links (factor
-// 0) are filtered from the candidate set; when no candidate survives the
-// nominal pick is kept and the flow freezes on the dead resource until
-// heal, matching sim::WanLink partition semantics.
+// — is reproducible bit for bit. Dead links (factor 0) are filtered from
+// the candidate set; when no candidate survives the nominal pick is kept
+// and the flow freezes on the dead resource until heal, matching
+// sim::WanLink partition semantics.
 #pragma once
 
 #include <cstdint>

@@ -22,10 +22,9 @@
 // Determinism contract: decide() must be a pure function of the
 // Observation plus the policy's own named Rng stream (and any state the
 // policy itself evolved at earlier hook invocations). Hooks fire at
-// clocked instants of simulated time from task context — never from solve
-// workers — so policy-driven timelines stay bit-identical at every
-// solve-worker count (tests/policy_test.cpp pins this for every shipped
-// policy).
+// clocked instants of simulated time from task context — never from inside
+// a fluid settle — so policy-driven timelines are reproducible bit for bit
+// (tests/policy_test.cpp pins them by value for every shipped policy).
 #pragma once
 
 #include <array>

@@ -329,8 +329,8 @@ void FluidScheduler::mark_dirty(Component& comp) {
   }
   if (pool_ != nullptr) {
     // Pool mode: no zero-delay post — the kernel's settle hook fires the
-    // pool at the end of the current instant, batching marks from every
-    // attached domain into one parallel solve.
+    // pool at the end of the current instant, collecting marks from every
+    // attached domain into one batch.
     pool_->notify_dirty(*this);
     return;
   }
@@ -649,7 +649,7 @@ double FluidScheduler::water_fill(Component& comp, SolveScratch& scratch) {
              "progressive filling made no progress in " << describe_component(comp));
 
     // Freeze the batch in admission order so the subtractive float updates
-    // run in one deterministic order for every solver and worker count.
+    // run in one deterministic order, however the batch was assembled.
     // (Pure cap rounds arrive in cap order; a lone binding resource's list
     // is already admission-ordered.)
     if (!std::is_sorted(batch.begin(), batch.end())) {
@@ -806,7 +806,7 @@ void FluidScheduler::on_timer(std::uint32_t id) {
   if (pool_ != nullptr) {
     // Pool mode: completion timers mark instead of solving inline, so every
     // timer firing at this instant — across all attached domains — lands in
-    // one parallel settle (the pool also drives maybe_rebuild afterwards).
+    // one settle batch (the pool also drives maybe_rebuild afterwards).
     mark_dirty(*comp);
     return;
   }

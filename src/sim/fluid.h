@@ -54,9 +54,9 @@ class FluidResource;
 /// weight on the resource, so a policy expressing a wire-rate model returns
 /// `model_rate / weight` to convert into flow-rate units. Implementations
 /// must be deterministic functions of simulation state (they run inside the
-/// serial exchange, between parallel compute rounds), and must never offer
-/// *more* than `fair_offer` would in steady state if the split-vs-merged
-/// equivalence is to be preserved for the unimpaired case.
+/// exchange, between compute rounds), and must never offer *more* than
+/// `fair_offer` would in steady state if the split-vs-merged equivalence is
+/// to be preserved for the unimpaired case.
 class CapPolicy {
  public:
   virtual ~CapPolicy() = default;
@@ -350,8 +350,8 @@ class FluidScheduler : public FlowRouter {
     TimePoint last_solved;
   };
 
-  /// Scratch for the pure compute phase of a solve, owned per worker (and
-  /// once per scheduler for the serial path). Rows are slot-indexed into
+  /// Scratch for the pure compute phase of a solve, owned by the SolvePool
+  /// and by each scheduler for its own solves. Rows are slot-indexed into
   /// the owning scheduler's resource registry and initialized per component
   /// before use, so one scratch can serve components from any scheduler —
   /// it only ever needs to be grown, never cleared.
@@ -407,15 +407,16 @@ class FluidScheduler : public FlowRouter {
   void ensure_settled(const Flow& flow);
 
   /// Integrate + complete + re-solve + re-arm timer for one component:
-  /// compute_component + commit_component back to back (the serial path).
+  /// compute_component + commit_component back to back (the path without
+  /// a pool).
   void solve_component(Component& comp);
   /// The pure compute phase of a solve: integrates progress, detects
   /// completions, compacts the component's flow list, and re-solves rates
   /// and consumption stamps — touching only the component's own flows and
-  /// resources plus the caller's scratch, so distinct components (of this
-  /// or any other scheduler) can compute concurrently. Posts nothing and
-  /// mutates no scheduler-global state; completions and the next timer are
-  /// reported through `out` for commit_component.
+  /// resources plus the caller's scratch, so a whole batch of components
+  /// (of this or any other scheduler) can compute before any commits.
+  /// Posts nothing and mutates no scheduler-global state; completions and
+  /// the next timer are reported through `out` for commit_component.
   void compute_component(Component& comp, SolveScratch& scratch, SolveResult& out);
   /// Water-level filling over the rows prepared by compute_component: each
   /// round freezes the caps tied at the level (cursor over the sorted cap
@@ -428,10 +429,10 @@ class FluidScheduler : public FlowRouter {
   [[nodiscard]] std::string describe_component(const Component& comp) const;
   /// The serial commit phase: retires finished flows from the global list,
   /// arms the component's next-completion timer (or dissolves an emptied
-  /// component), then fires completion events. Callers running computes in
-  /// parallel must invoke commits one at a time, in canonical (domain id,
-  /// component id) order, so every post into the shared Simulation queue
-  /// draws the same sequence numbers as the single-threaded schedule.
+  /// component), then fires completion events. A caller that computes a
+  /// batch first commits it in canonical (domain id, component id) order,
+  /// so the sequence numbers its posts draw from the shared Simulation
+  /// queue depend only on the batch.
   void commit_component(Component& comp, SolveResult& out);
   /// Advances progress/consumption at current rates; no completions.
   void integrate_component(Component& comp);
@@ -449,7 +450,7 @@ class FluidScheduler : public FlowRouter {
   void rebuild_components();
 
   /// Completion bookkeeping confined to the flow's own component/resources
-  /// (safe in the parallel compute phase).
+  /// (safe in the compute phase).
   void finish_flow_local(Flow& flow);
   /// Scheduler-global completion bookkeeping (commit phase only).
   void retire_flow_global(Flow& flow);
@@ -471,7 +472,7 @@ class FluidScheduler : public FlowRouter {
   // callback re-solves them before any simulated time passes. When a
   // SolvePool is attached, the pool's kernel settle hook takes over: marks
   // notify the pool instead of posting, and dirty components are solved in
-  // parallel at the end of the instant.
+  // one batch at the end of the instant.
   std::vector<std::uint32_t> dirty_comps_;
   bool settle_pending_ = false;
   SolvePool* pool_ = nullptr;
@@ -496,10 +497,7 @@ class FluidScheduler : public FlowRouter {
 /// Flows that do span domains are admitted through FluidNet (fluid_net.h)
 /// as boundary flows: the settle-time ghost-capacity exchange couples the
 /// domains' solves and converges to the same max-min rates the merged
-/// scheduler would compute — see DESIGN.md §6. Either way domains are safe
-/// to construct in parallel (each worker thread touches only its own
-/// scheduler; the shared Simulation takes no posts during the parallel
-/// phase) — see bench_scalability and sim_sharding_test.
+/// scheduler would compute — see DESIGN.md §6 and sim_sharding_test.
 class FluidDomain {
  public:
   FluidDomain(Simulation& sim, std::string name)

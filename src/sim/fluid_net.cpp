@@ -40,12 +40,7 @@ bool moved(double a, double b) {
 bool cap_slack(double rate, double cap) { return cap > rate * (1.0 + 1e-9); }
 }  // namespace
 
-FluidNet::FluidNet(Simulation& sim, int workers) : sim_(&sim), workers_(workers) {
-  NM_CHECK(workers >= 0, "negative FluidNet worker count");
-  if (workers_ > 0) {
-    ensure_pool();
-  }
-}
+FluidNet::FluidNet(Simulation& sim) : sim_(&sim) {}
 
 FluidNet::~FluidNet() {
   if (pool_ != nullptr) {
@@ -58,21 +53,17 @@ FluidDomain& FluidNet::add_domain(std::string name) {
   auto& dom = *domains_.back();
   if (pool_ == nullptr && domains_.size() > 1) {
     // Second domain: boundary flows become possible, so settling must go
-    // through the pool (it owns the exchange loop). ensure_pool attaches
-    // every domain added so far, this one included.
-    ensure_pool();
+    // through the pool (it owns the exchange loop). Attach every domain
+    // added so far, this one included.
+    pool_ = std::make_unique<SolvePool>(*sim_);
+    pool_->set_exchange(this);
+    for (auto& added : domains_) {
+      pool_->attach(added->scheduler());
+    }
   } else if (pool_ != nullptr) {
     pool_->attach(dom.scheduler());
   }
   return dom;
-}
-
-void FluidNet::ensure_pool() {
-  pool_ = std::make_unique<SolvePool>(*sim_, workers_);
-  pool_->set_exchange(this);
-  for (auto& dom : domains_) {
-    pool_->attach(dom->scheduler());
-  }
 }
 
 FluidDomain& FluidNet::domain(std::size_t index) {
@@ -163,9 +154,9 @@ void FluidNet::mark(FluidScheduler* sched, const Flow& flow,
 }
 
 void FluidNet::exchange(std::vector<std::pair<FluidScheduler*, std::uint32_t>>& dirtied) {
-  // Registration order; every step below is deterministic in the
-  // post-compute state, so the exchange — and with it the whole settle —
-  // is independent of worker count. For each boundary flow:
+  // Registration order; every step below reads only post-compute state,
+  // so the exchange — and with it the whole settle — is deterministic. For
+  // each boundary flow:
   //   1. Publish the home rate into each ghost's cap (the foreign domains
   //      then account rate × weight consumption on their resources).
   //   2. Fold the ghosts' capacity offers back into the home boundary cap.

@@ -7,15 +7,16 @@
 // resources it crosses.
 //
 // The coupling runs at settle points, driven by the SolvePool (see
-// solve_pool.h): after each parallel compute round the net publishes every
+// solve_pool.h): after each compute round the net publishes every
 // boundary flow's freshly-solved home rate into its ghosts' rate caps, and
 // folds the ghosts' *capacity offers* — the rate each foreign resource
 // could grant the ghost, read off the last solve's binding level and free
 // capacity — back into the home flow's boundary cap. Components whose
 // inputs moved are re-solved, and the loop repeats until a fixed point (at
 // which the cross-domain rates equal the merged single-domain max-min
-// solution; see DESIGN.md §6). The exchange is serial and the commit order
-// canonical, so timelines stay bit-identical at every worker count.
+// solution; see DESIGN.md §6). The exchange walks boundary flows in
+// registration order and the commit order is canonical, so the timeline is
+// a deterministic function of the flow program.
 #pragma once
 
 #include <cstdint>
@@ -31,11 +32,10 @@ namespace nm::sim {
 
 class FluidNet final : public FlowRouter, private SettleExchange {
  public:
-  /// A net over `sim` whose SolvePool (created lazily: only when `workers`
-  /// > 0 or a second domain is added) runs `workers` compute threads. A
-  /// single-domain net with no workers never creates a pool, so it keeps
-  /// the legacy zero-delay settle path exactly.
-  explicit FluidNet(Simulation& sim, int workers = 0);
+  /// A net over `sim`. Its SolvePool is created when a second domain is
+  /// added (boundary flows need its exchange loop), so a single-domain net
+  /// keeps the legacy zero-delay settle path exactly.
+  explicit FluidNet(Simulation& sim);
   ~FluidNet() override;
   FluidNet(const FluidNet&) = delete;
   FluidNet& operator=(const FluidNet&) = delete;
@@ -58,8 +58,8 @@ class FluidNet final : public FlowRouter, private SettleExchange {
   /// ghost flows mirror its consumption into the foreign domains.
   FlowPtr start(FlowSpec spec) override;
 
-  /// The pool driving parallel solves and the boundary exchange; nullptr
-  /// for a single-domain, zero-worker net.
+  /// The pool driving the end-of-instant settle and the boundary exchange;
+  /// nullptr for a single-domain net.
   [[nodiscard]] SolvePool* pool() { return pool_.get(); }
 
   [[nodiscard]] std::size_t boundary_flow_count() const { return boundary_.size(); }
@@ -102,8 +102,6 @@ class FluidNet final : public FlowRouter, private SettleExchange {
   [[nodiscard]] bool active() const override { return !boundary_.empty(); }
   void exchange(std::vector<std::pair<FluidScheduler*, std::uint32_t>>& dirtied) override;
 
-  /// Creates the pool and attaches every existing domain.
-  void ensure_pool();
   /// Serially removes a finished boundary flow's ghost from its foreign
   /// component (preserving flow order) and retires it without firing its
   /// completion event.
@@ -113,10 +111,8 @@ class FluidNet final : public FlowRouter, private SettleExchange {
                    std::vector<std::pair<FluidScheduler*, std::uint32_t>>& dirtied);
 
   Simulation* sim_;
-  int workers_;
   std::vector<std::unique_ptr<FluidDomain>> domains_;
-  /// Registration order is the exchange's iteration order (deterministic,
-  /// independent of worker count).
+  /// Registration order is the exchange's iteration order.
   std::vector<BoundaryFlow> boundary_;
   std::size_t exchange_skips_ = 0;
   /// Declared last: destroyed first, detaching every scheduler before any

@@ -6,13 +6,7 @@
 
 namespace nm::sim {
 
-SolvePool::SolvePool(Simulation& sim, int workers) : sim_(&sim) {
-  NM_CHECK(workers >= 0, "negative SolvePool worker count");
-  scratch_.resize(static_cast<std::size_t>(workers) + 1);  // + the sim thread
-  workers_.reserve(static_cast<std::size_t>(workers));
-  for (int i = 0; i < workers; ++i) {
-    workers_.emplace_back([this, i] { worker_main(static_cast<std::size_t>(i)); });
-  }
+SolvePool::SolvePool(Simulation& sim) : sim_(&sim) {
   hook_id_ = sim.add_settle_hook([this] { settle(); });
 }
 
@@ -23,14 +17,6 @@ SolvePool::~SolvePool() {
     }
   }
   sim_->remove_settle_hook(hook_id_);
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (auto& t : workers_) {
-    t.join();
-  }
 }
 
 void SolvePool::attach(FluidScheduler& scheduler) {
@@ -75,10 +61,10 @@ void SolvePool::notify_dirty(FluidScheduler& scheduler) {
 }
 
 void SolvePool::settle() {
-  // Phase 0 (serial): collect the batch in canonical order. Schedulers are
-  // walked in attach (= domain id) order and their dirty lists re-checked
-  // against the authoritative per-component flag (ensure_settled may have
-  // already solved some serially; merges retire components). Component ids
+  // Phase 0: collect the batch in canonical order. Schedulers are walked
+  // in attach (= domain id) order and their dirty lists re-checked against
+  // the authoritative per-component flag (ensure_settled may have already
+  // solved some on its own; merges retire components). Component ids
   // are unique within a dirty list (the flag dedups marks) and ascending
   // within it is not guaranteed, so sort below.
   tasks_.clear();
@@ -115,14 +101,11 @@ void SolvePool::settle() {
   ++settles_;
   solved_comps_ += tasks_.size();
   max_batch_ = std::max(max_batch_, tasks_.size());
-  if (tasks_.size() > 1 && !workers_.empty()) {
-    ++parallel_settles_;
-  }
 
   // Phase 1: compute. Round 0 solves every collected component; when a
   // SettleExchange with live boundary flows is registered, further rounds
-  // alternate a serial exchange (publish boundary rates, refresh ghost
-  // caps) with a recompute of whatever the exchange moved, until the
+  // alternate an exchange (publish boundary rates, refresh ghost caps)
+  // with a recompute of whatever the exchange moved, until the
   // coupled rates reach a fixed point. Nothing is committed until every
   // round is done, so the event queue sees no posts mid-iteration.
   pending_.resize(tasks_.size());
@@ -206,10 +189,10 @@ void SolvePool::settle() {
     }
   }
 
-  // Phase 2 (serial): commit in canonical order. This is the only phase
-  // that posts timers or fires events, so the sequence numbers drawn from
-  // the shared queue are independent of how phase 1 interleaved (and, in
-  // exchange mode, of how many rounds it took to converge).
+  // Phase 2: commit in canonical order. This is the only phase that posts
+  // timers or fires events, so the sequence numbers drawn from the shared
+  // queue depend only on the batch, not on the order its marks arrived in
+  // (nor, in exchange mode, on how many rounds it took to converge).
   for (auto& task : tasks_) {
     task.sched->commit_component(*task.comp, task.result);
   }
@@ -225,80 +208,9 @@ void SolvePool::settle() {
 }
 
 void SolvePool::compute_pending() {
-  // Single-task rounds (the common case for small episodes) and 0-worker
-  // pools skip the handoff entirely; otherwise the simulation thread
-  // steals alongside the workers (scratch slot workers_.size() is reserved
-  // for it). Threads claim kClaimChunk pending indices per mutex
-  // round-trip — the compute itself runs unlocked, and the lock gives
-  // every thread a consistent view of the round (no stale-epoch stealing)
-  // plus the happens-before edge the commit phase needs.
-  if (pending_.size() == 1 || workers_.empty()) {
-    for (const auto idx : pending_) {
-      run_compute(idx, workers_.size());
-    }
-  } else {
-    std::unique_lock<std::mutex> lk(mutex_);
-    round_count_ = pending_.size();
-    next_claim_ = 0;
-    done_tasks_ = 0;
-    ++epoch_;
-    work_cv_.notify_all();
-    while (next_claim_ < round_count_) {
-      const std::size_t begin = next_claim_;
-      const std::size_t end = std::min(begin + kClaimChunk, round_count_);
-      next_claim_ = end;
-      lk.unlock();
-      for (std::size_t i = begin; i < end; ++i) {
-        run_compute(pending_[i], workers_.size());
-      }
-      lk.lock();
-      done_tasks_ += end - begin;
-    }
-    done_cv_.wait(lk, [this] { return done_tasks_ == round_count_; });
-    round_count_ = 0;
-    next_claim_ = 0;
-  }
-  // Surface the first compute error in canonical order (nothing has been
-  // committed yet, so the failure point is deterministic).
   for (const auto idx : pending_) {
-    if (tasks_[idx].error) {
-      std::rethrow_exception(tasks_[idx].error);
-    }
-  }
-}
-
-void SolvePool::run_compute(std::size_t task_index, std::size_t scratch_index) {
-  TaskEntry& task = tasks_[task_index];
-  try {
-    task.sched->compute_component(*task.comp, scratch_[scratch_index], task.result);
-  } catch (...) {
-    task.error = std::current_exception();
-  }
-}
-
-void SolvePool::worker_main(std::size_t worker_index) {
-  std::uint64_t seen_epoch = 0;
-  std::unique_lock<std::mutex> lk(mutex_);
-  while (true) {
-    work_cv_.wait(lk, [&] { return stop_ || epoch_ != seen_epoch; });
-    if (stop_) {
-      return;
-    }
-    seen_epoch = epoch_;
-    while (next_claim_ < round_count_) {
-      const std::size_t begin = next_claim_;
-      const std::size_t end = std::min(begin + kClaimChunk, round_count_);
-      next_claim_ = end;
-      lk.unlock();
-      for (std::size_t i = begin; i < end; ++i) {
-        run_compute(pending_[i], worker_index);
-      }
-      lk.lock();
-      done_tasks_ += end - begin;
-      if (done_tasks_ == round_count_) {
-        done_cv_.notify_all();
-      }
-    }
+    TaskEntry& task = tasks_[idx];
+    task.sched->compute_component(*task.comp, scratch_, task.result);
   }
 }
 

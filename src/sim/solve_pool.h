@@ -1,30 +1,26 @@
-// A persistent worker pool that parallelizes the fluid solve across dirty
-// components at each settle point, without perturbing the deterministic
-// event schedule.
+// The end-of-instant settle batch: solves every fluid component dirtied at
+// the current simulated instant, across every attached domain, in one
+// deterministic pass.
 //
-// How it keeps the timeline bit-identical to the single-threaded run:
+// How it keeps the timeline deterministic:
 //   1. Dirty marks never post: attached schedulers route mark_dirty (and
 //      completion-timer firings) to the pool, which arms the kernel's
 //      settle hook. The hook runs at the end of the simulated instant, so
 //      every component dirtied at that instant — across all domains — is
 //      collected into one batch.
 //   2. The batch is sorted by (domain id, component id) — a canonical
-//      order independent of mark order and of worker count.
-//   3. Workers (plus the simulation thread) run only the *pure compute*
-//      phase (FluidScheduler::compute_component): each task touches its own
-//      component's flows/resources and a per-worker scratch, nothing else.
-//   4. After a barrier, the simulation thread runs every *commit* phase
-//      serially in the canonical order. Commits are the only place timer
-//      posts and completion events enter the shared Simulation queue, so
-//      they draw exactly the sequence numbers the serial schedule would.
-// See DESIGN.md §5 "Parallel dirty-domain solving".
+//      order independent of mark order.
+//   3. The *pure compute* phase (FluidScheduler::compute_component) runs
+//      for every task first; each touches its own component's flows and
+//      resources and the pool's scratch, and posts nothing.
+//   4. Every *commit* phase then runs in the canonical order. Commits are
+//      the only place timer posts and completion events enter the shared
+//      Simulation queue, so the sequence numbers they draw depend only on
+//      the batch's contents, never on the order marks arrived in.
+// See DESIGN.md §5 "The end-of-instant settle batch".
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <exception>
-#include <mutex>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -48,18 +44,15 @@ class SettleExchange {
   /// freshly-solved home rate into its ghosts' caps and fold the ghosts'
   /// capacity offers back into the home flow's boundary cap. Appends every
   /// (scheduler, component id) whose inputs moved to `dirtied`. Called
-  /// serially on the simulation thread between compute rounds.
+  /// between compute rounds.
   virtual void exchange(std::vector<std::pair<FluidScheduler*, std::uint32_t>>& dirtied) = 0;
 };
 
 class SolvePool {
  public:
-  /// Spawns `workers` persistent threads (>= 0; with 0 the simulation
-  /// thread computes every batch itself — the pool then only provides the
-  /// settle-hook batching and the exchange loop) and registers the settle
-  /// hook with `sim`. The pool must outlive no scheduler attached to it and
-  /// must be destroyed before `sim`.
-  SolvePool(Simulation& sim, int workers);
+  /// Registers the settle hook with `sim`. The pool must outlive no
+  /// scheduler attached to it and must be destroyed before `sim`.
+  explicit SolvePool(Simulation& sim);
   ~SolvePool();
   SolvePool(const SolvePool&) = delete;
   SolvePool& operator=(const SolvePool&) = delete;
@@ -80,10 +73,9 @@ class SolvePool {
   /// settle must run before rates can be observed.
   [[nodiscard]] bool any_dirty() const;
 
-  /// Settle points executed so far, and how many of them had 2+ components
-  /// to solve (the ones where parallelism could help).
+  /// Settle points executed so far, the components they solved, and the
+  /// largest batch one settle collected.
   [[nodiscard]] std::size_t settle_count() const { return settles_; }
-  [[nodiscard]] std::size_t parallel_settle_count() const { return parallel_settles_; }
   [[nodiscard]] std::size_t solved_component_count() const { return solved_comps_; }
   [[nodiscard]] std::size_t max_batch_size() const { return max_batch_; }
   /// Compute rounds run inside exchanging settles (1 round = solve all
@@ -110,9 +102,6 @@ class SolvePool {
   /// ~0.7/round on coupled-bottleneck chains, ~75 rounds to 1e-12), so 256
   /// leaves a wide margin while still bounding a pathological settle.
   static constexpr std::size_t kMaxExchangeRounds = 256;
-  /// Indices a thread claims per mutex round-trip: batches of tiny
-  /// singleton components stop paying one lock handoff each.
-  static constexpr std::size_t kClaimChunk = 4;
 
   struct TaskEntry {
     FluidScheduler* sched = nullptr;
@@ -122,21 +111,17 @@ class SolvePool {
     /// Completions banked across exchange rounds (each recompute clears
     /// result.finished); swapped back into result before the final commit.
     std::vector<FlowPtr> finished_acc;
-    std::exception_ptr error;
   };
 
   /// Called by an attached scheduler on every dirty mark; arms the kernel
   /// settle hook for the current instant.
   void notify_dirty(FluidScheduler& scheduler);
-  /// The settle hook body: collect → (parallel compute ↔ serial exchange)*
-  /// → serial commit in canonical order.
-  void settle();
-  /// Computes every task listed in pending_ (parallel when workers exist
-  /// and the round has 2+ tasks), then rethrows the first compute error in
+  /// The settle hook body: collect → (compute ↔ exchange)* → commit in
   /// canonical order.
+  void settle();
+  /// Computes every task listed in pending_, in canonical order. A compute
+  /// that throws propagates before anything is committed.
   void compute_pending();
-  void run_compute(std::size_t task_index, std::size_t scratch_index);
-  void worker_main(std::size_t worker_index);
 
   Simulation* sim_;
   std::uint64_t hook_id_ = 0;
@@ -144,30 +129,16 @@ class SolvePool {
   std::vector<FluidScheduler*> attached_;
   SettleExchange* exchange_ = nullptr;
 
-  // The task batch for the current settle. Published to workers under
-  // `mutex_` by bumping `epoch_`; pending indices are claimed under the
-  // same mutex (the compute runs unlocked), and the `done_tasks_` count
-  // both signals completion and gives the commit phase a happens-before
-  // edge over every compute phase.
+  /// The task batch for the current settle.
   std::vector<TaskEntry> tasks_;
   /// Indices into tasks_ to compute this round, in canonical order. Round
   /// 0 lists every collected task; later (exchange) rounds list just the
   /// components the exchange re-dirtied.
   std::vector<std::size_t> pending_;
   std::vector<std::pair<FluidScheduler*, std::uint32_t>> dirtied_;
-  std::vector<FluidScheduler::SolveScratch> scratch_;  // workers + sim thread
-  std::vector<std::thread> workers_;
-  std::mutex mutex_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  std::uint64_t epoch_ = 0;
-  std::size_t round_count_ = 0;
-  std::size_t next_claim_ = 0;
-  std::size_t done_tasks_ = 0;
-  bool stop_ = false;
+  FluidScheduler::SolveScratch scratch_;
 
   std::size_t settles_ = 0;
-  std::size_t parallel_settles_ = 0;
   std::size_t solved_comps_ = 0;
   std::size_t max_batch_ = 0;
   std::size_t exchange_rounds_ = 0;

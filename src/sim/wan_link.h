@@ -26,7 +26,7 @@
 // the crossing components dirty so the settle's exchange re-folds every
 // boundary cap against the new factor/RTT before any simulated time
 // passes. Phases fire at fixed (time, sequence) slots in the event queue,
-// so determinism across solve-worker counts is untouched (DESIGN.md §7).
+// so the timeline stays deterministic (DESIGN.md §7).
 #pragma once
 
 #include <memory>
@@ -108,8 +108,8 @@ class WanLink final : public CapPolicy {
   /// Applies a congestion change immediately — same semantics as a
   /// schedule phase firing now (failure injectors partition with factor 0
   /// and later heal with factor 1; `rtt` zero keeps the current RTT).
-  /// Call from task context only: determinism across worker counts needs
-  /// the injection to sit at a fixed (time, sequence) event-queue slot.
+  /// Call from task context only: determinism needs the injection to sit
+  /// at a fixed (time, sequence) event-queue slot.
   void inject_phase(double capacity_factor, Duration rtt = Duration::zero());
 
   // CapPolicy: fold the model into the fair-share offer the endpoint would

@@ -199,7 +199,7 @@ class LatencyHistogram {
   }
 
   /// Deterministic FNV-1a fold of the full bin vector + moments; the
-  /// worker-count bit-identity gates compare these across runs.
+  /// determinism gates pin these by value.
   [[nodiscard]] std::uint64_t digest(std::uint64_t h = 0xcbf29ce484222325ull) const {
     const auto fold = [&h](std::uint64_t v) {
       for (int i = 0; i < 8; ++i) {

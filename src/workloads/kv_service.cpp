@@ -175,7 +175,7 @@ void KvService::start_request(FleetState* fleet, std::uint64_t key, bool is_writ
   ++generated_;
   if (has_admission_) {
     // Arrival instants are clocked (pre-drawn and posted by the fleets),
-    // so an admission decision here is deterministic at any worker count.
+    // so an admission decision here is deterministic.
     policy::Observation obs;
     obs.now = testbed_->sim().now();
     obs.migration = dominant_migration(obs.now);

@@ -18,8 +18,7 @@
 // fleet pre-draws (inter-arrival, key) pairs from its own named
 // Rng::streams and pins every arrival to an absolute instant via
 // Simulation::post_at — the draw sequence is fixed by generation order, so
-// timelines are bit-identical at any solve-worker count (see DESIGN.md
-// §10).
+// timelines are reproducible bit for bit (see DESIGN.md §10).
 #pragma once
 
 #include <array>
@@ -145,7 +144,7 @@ class KvService {
   [[nodiscard]] LatencyHistogram overall() const;
 
   /// Deterministic digest over counters and every phase histogram; the
-  /// solve-worker bit-identity gates compare these across runs. (The
+  /// determinism gates pin these by value. (The
   /// rejected counter folds in only when admission control actually shed
   /// something, so policy-free digests match pre-policy builds.)
   [[nodiscard]] std::uint64_t digest() const;

@@ -1,5 +1,5 @@
 // KvService: open-loop load conservation, deterministic arrivals,
-// solve-worker bit-identity, and blackout-visible tail latency.
+// settle-path bit-identity, and blackout-visible tail latency.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -32,9 +32,9 @@ constexpr double kRate = 400.0;  // per fleet; 2 fleets
 constexpr Duration kWindow = Duration::seconds(3);
 constexpr Duration kMigrateAt = Duration::millis(500);
 
-RunOutcome run_scenario(int solve_workers, bool migrate) {
+RunOutcome run_scenario(bool migrate, int fluid_shards = 1) {
   core::TestbedConfig config;
-  config.solve_workers = solve_workers;
+  config.fluid_shards = fluid_shards;
   core::Testbed testbed(config);
 
   workloads::KvServiceConfig svc;
@@ -98,7 +98,7 @@ RunOutcome run_scenario(int solve_workers, bool migrate) {
 }
 
 TEST(KvService, OfferedLoadIsConserved) {
-  const RunOutcome out = run_scenario(/*solve_workers=*/0, /*migrate=*/false);
+  const RunOutcome out = run_scenario(/*migrate=*/false);
   EXPECT_GT(out.generated, 0u);
   EXPECT_EQ(out.completed, out.generated);
   EXPECT_EQ(out.in_flight, 0u);
@@ -111,28 +111,30 @@ TEST(KvService, OfferedLoadIsConserved) {
 }
 
 TEST(KvService, ArrivalsAreDeterministicAcrossReruns) {
-  const RunOutcome a = run_scenario(0, /*migrate=*/false);
-  const RunOutcome b = run_scenario(0, /*migrate=*/false);
+  const RunOutcome a = run_scenario(/*migrate=*/false);
+  const RunOutcome b = run_scenario(/*migrate=*/false);
   EXPECT_EQ(a.generated, b.generated);
   EXPECT_EQ(a.digest, b.digest);
   EXPECT_EQ(a.final_ns, b.final_ns);
 }
 
+// The name predates the removal of the solve worker threads.
 TEST(KvService, TimelineBitIdenticalAcrossSolveWorkers) {
-  const RunOutcome base = run_scenario(0, /*migrate=*/true);
+  // One shard settles through the scheduler's zero-delay post; a second
+  // (empty) shard routes every settle through the SolvePool's
+  // end-of-instant batch. This scenario replays identically on both paths.
+  const RunOutcome base = run_scenario(/*migrate=*/true);
   ASSERT_GT(base.episode_end_ns, 0);
-  for (const int workers : {1, 2, 4}) {
-    const RunOutcome r = run_scenario(workers, /*migrate=*/true);
-    EXPECT_EQ(r.digest, base.digest) << workers << " solve workers";
-    EXPECT_EQ(r.generated, base.generated) << workers << " solve workers";
-    EXPECT_EQ(r.misses, base.misses) << workers << " solve workers";
-    EXPECT_EQ(r.final_ns, base.final_ns) << workers << " solve workers";
-    EXPECT_EQ(r.episode_end_ns, base.episode_end_ns) << workers << " solve workers";
-  }
+  const RunOutcome pooled = run_scenario(/*migrate=*/true, /*fluid_shards=*/2);
+  EXPECT_EQ(pooled.digest, base.digest);
+  EXPECT_EQ(pooled.generated, base.generated);
+  EXPECT_EQ(pooled.misses, base.misses);
+  EXPECT_EQ(pooled.final_ns, base.final_ns);
+  EXPECT_EQ(pooled.episode_end_ns, base.episode_end_ns);
 }
 
 TEST(KvService, BlackoutInflatesTailOnMigratingServer) {
-  const RunOutcome out = run_scenario(0, /*migrate=*/true);
+  const RunOutcome out = run_scenario(/*migrate=*/true);
   ASSERT_GT(out.episode_end_ns, 0) << "migration episode did not complete";
   EXPECT_EQ(out.completed, out.generated);
   EXPECT_TRUE(out.downtime_ok) << "blackout " << out.blackout << " exceeded max_downtime";

@@ -2,16 +2,18 @@
 //   * StaticPolicy is bit-identical to the pre-refactor hardcoded behavior
 //     (pinned against golden digests captured before the policy hooks
 //     landed — same scenario, old ServiceEpisode::start signature).
-//   * Every shipped policy's timeline is bit-identical at 0/1/2/4 solve
-//     workers (decisions fire at clocked instants, never from workers).
+//   * Every shipped policy's timeline is pinned by value (decisions fire at
+//     clocked instants, so a run reproduces to the nanosecond).
 //   * SloThrottlePolicy keeps the downtime promise while not worsening the
 //     pre-copy tail under heavy load.
 //   * ServiceEpisode objects are reusable after done() and fail loudly on
 //     a mid-flight double start.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -164,10 +166,9 @@ struct RunOutcome {
   std::int64_t precopy_ns = 0;
 };
 
-RunOutcome run_scenario(int solve_workers, Variant variant) {
+RunOutcome run_scenario(Variant variant) {
   core::TestbedConfig config;
-  config.solve_workers = solve_workers;
-  config.fluid_shards = 2;  // pool on even at 0 workers (see DESIGN.md §10)
+  config.fluid_shards = 2;  // settle through the SolvePool (see DESIGN.md §10)
   core::Testbed testbed(config);
 
   workloads::KvServiceConfig svc;
@@ -253,8 +254,7 @@ RunOutcome run_scenario(int solve_workers, Variant variant) {
 }
 
 // Captured with the pre-refactor ServiceEpisode::start(vm, dst, delay) on
-// the commit before the policy framework landed; identical at 0/1/2/4
-// solve workers there.
+// the commit before the policy framework landed.
 constexpr std::uint64_t kGoldenDigest = 6056993532529786261ull;
 constexpr std::int64_t kGoldenEndNs = 33127233576;
 constexpr std::uint64_t kGoldenGenerated = 2002;
@@ -272,27 +272,50 @@ void expect_golden(const RunOutcome& out, const std::string& label) {
 }
 
 TEST(PolicyGolden, DefaultPolicySetReproducesPreRefactorTimeline) {
-  expect_golden(run_scenario(0, Variant::kDefault), "default PolicySet");
+  expect_golden(run_scenario(Variant::kDefault), "default PolicySet");
 }
 
 TEST(PolicyGolden, ExplicitStaticPolicyReproducesPreRefactorTimeline) {
-  expect_golden(run_scenario(0, Variant::kStatic), "explicit StaticPolicy");
+  expect_golden(run_scenario(Variant::kStatic), "explicit StaticPolicy");
 }
+
+/// One shipped policy's pinned timeline outputs.
+struct PolicyPin {
+  Variant variant;
+  std::uint64_t digest;
+  std::int64_t episode_end_ns;
+  std::uint64_t generated;
+  std::uint64_t rejected;
+  std::uint64_t misses;
+};
+
+constexpr PolicyPin kPolicyPins[] = {
+    {Variant::kStatic, kGoldenDigest, kGoldenEndNs, kGoldenGenerated, 0, kGoldenMisses},
+    // At this load the throttle, the pause and the swap leave every pinned
+    // output equal to the static run's.
+    {Variant::kSloThrottle, kGoldenDigest, kGoldenEndNs, kGoldenGenerated, 0, kGoldenMisses},
+    {Variant::kQuietPause, kGoldenDigest, kGoldenEndNs, kGoldenGenerated, 0, kGoldenMisses},
+    {Variant::kDestSwap, kGoldenDigest, kGoldenEndNs, kGoldenGenerated, 0, kGoldenMisses},
+    {Variant::kBlackoutShed, 377980942831353068ull, kGoldenEndNs, kGoldenGenerated, 7,
+     kGoldenMisses},
+};
 
 class PolicyDeterminism : public ::testing::TestWithParam<Variant> {};
 
+// The name predates the removal of the solve worker threads.
 TEST_P(PolicyDeterminism, TimelineBitIdenticalAcrossSolveWorkers) {
-  const RunOutcome base = run_scenario(0, GetParam());
-  ASSERT_GT(base.episode_end_ns, 0) << "episode did not complete";
-  EXPECT_EQ(base.completed + base.rejected, base.generated);
-  for (const int workers : {1, 2, 4}) {
-    const RunOutcome r = run_scenario(workers, GetParam());
-    EXPECT_EQ(r.digest, base.digest) << workers << " solve workers";
-    EXPECT_EQ(r.episode_end_ns, base.episode_end_ns) << workers << " solve workers";
-    EXPECT_EQ(r.generated, base.generated) << workers << " solve workers";
-    EXPECT_EQ(r.rejected, base.rejected) << workers << " solve workers";
-    EXPECT_EQ(r.misses, base.misses) << workers << " solve workers";
-  }
+  const Variant variant = GetParam();
+  const RunOutcome out = run_scenario(variant);
+  ASSERT_GT(out.episode_end_ns, 0) << "episode did not complete";
+  EXPECT_EQ(out.completed + out.rejected, out.generated);
+  const auto* pin = std::find_if(std::begin(kPolicyPins), std::end(kPolicyPins),
+                                 [variant](const PolicyPin& p) { return p.variant == variant; });
+  ASSERT_NE(pin, std::end(kPolicyPins));
+  EXPECT_EQ(out.digest, pin->digest);
+  EXPECT_EQ(out.episode_end_ns, pin->episode_end_ns);
+  EXPECT_EQ(out.generated, pin->generated);
+  EXPECT_EQ(out.rejected, pin->rejected);
+  EXPECT_EQ(out.misses, pin->misses);
 }
 
 INSTANTIATE_TEST_SUITE_P(ShippedPolicies, PolicyDeterminism,

@@ -5,8 +5,10 @@
 // where no flow ever crosses domains — is exact, not approximate. These
 // tests pin that invariant for (a) the full fallback+recovery Ninja
 // episode at shard counts 1/2/4 (the ninja_integration_test invariants
-// re-checked per count) and (b) hand-built disjoint zones split across
-// two domains vs merged onto one scheduler.
+// re-checked per count), (b) hand-built disjoint zones split across two
+// domains vs merged onto one scheduler, with and without the SolvePool's
+// end-of-instant batch, and (c) blade domains bridged by boundary flows
+// vs the merged enclosure. The 1-shard episode itself is pinned by value.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,6 +22,7 @@
 #include "hw/cluster.h"
 #include "net/port.h"
 #include "sim/fluid.h"
+#include "sim/solve_pool.h"
 
 namespace nm::core {
 namespace {
@@ -41,11 +44,9 @@ struct EpisodeTrace {
   bool hca_in_use = false;
 };
 
-EpisodeTrace run_fallback_recovery(int fluid_shards, int solve_workers = 0,
-                                   bool blade_domains = false) {
+EpisodeTrace run_fallback_recovery(int fluid_shards, bool blade_domains = false) {
   TestbedConfig tcfg;
   tcfg.fluid_shards = fluid_shards;
-  tcfg.solve_workers = solve_workers;
   tcfg.blade_domains = blade_domains;
   Testbed tb(tcfg);
   JobConfig cfg;
@@ -128,7 +129,7 @@ TEST(Sharding, FallbackRecoveryTimelineBitIdenticalAcrossShardCounts) {
   }
 }
 
-// --- Parallel solving: worker count must be unobservable ---------------------
+// --- The 1-shard episode, pinned by value ------------------------------------
 
 void expect_traces_identical(const EpisodeTrace& t, const EpisodeTrace& base,
                              const std::string& label) {
@@ -149,24 +150,34 @@ void expect_traces_identical(const EpisodeTrace& t, const EpisodeTrace& base,
   EXPECT_EQ(t.hca_in_use, base.hca_in_use) << label;
 }
 
-TEST(Sharding, ParallelSolveMatrixBitIdenticalToSingleThread) {
-  // The single-threaded (no pool) run is the ground truth; every
-  // (workers, domains) combination must replay it exactly — the SolvePool
-  // batches each instant's dirty components, computes them on however many
-  // threads, and commits in canonical (domain, component) order, so the
-  // worker count can never be observed in the timeline.
-  const EpisodeTrace base = run_fallback_recovery(1);
-  ASSERT_EQ(base.iter_seconds.size(), 16u);
-  EXPECT_EQ(base.transport, "openib");
-  EXPECT_TRUE(base.back_on_ib);
+/// The 1-shard fallback+recovery episode, to the nanosecond and the last
+/// bit of every double.
+EpisodeTrace pinned_fallback_recovery() {
+  EpisodeTrace t;
+  // The first iteration runs 1 ns shorter than the other fifteen.
+  t.iter_seconds.assign(16, 0.093956411000000004);
+  t.iter_seconds.front() = 0.093956410000000004;
+  // The job's 16 iterations end near t = 1.5 s, before the 2 s trigger:
+  // the fallback episode never completes, the recovery never starts, and
+  // both stats stay zero.
+  t.fallback_detach_ns = 0;
+  t.fallback_migration_ns = 0;
+  t.fallback_total_ns = 0;
+  t.recovery_attach_ns = 0;
+  t.recovery_linkup_ns = 0;
+  t.recovery_total_ns = 0;
+  t.final_time_ns = 33'920'000'000;
+  t.ib_cpu_consumed = 0.42949673599999999;
+  t.transport = "openib";
+  t.back_on_ib = true;
+  t.hca_in_use = true;
+  return t;
+}
 
-  for (const int workers : {1, 2, 4}) {
-    for (const int shards : {1, 2, 4}) {
-      const EpisodeTrace t = run_fallback_recovery(shards, workers);
-      expect_traces_identical(
-          t, base, "workers=" + std::to_string(workers) + " shards=" + std::to_string(shards));
-    }
-  }
+// The name predates the removal of the solve worker threads; the shard
+// counts are covered by FallbackRecoveryTimelineBitIdenticalAcrossShardCounts.
+TEST(Sharding, ParallelSolveMatrixBitIdenticalToSingleThread) {
+  expect_traces_identical(run_fallback_recovery(1), pinned_fallback_recovery(), "1 shard");
 }
 
 // --- Disjoint zones genuinely split across domains ---------------------------
@@ -268,8 +279,10 @@ TEST(Sharding, DisjointZonesOnSeparateDomainsMatchSingleScheduler) {
   EXPECT_NEAR(consumed_z0, 0.25, 1e-9);
 }
 
+// The name predates the removal of the solve worker threads.
 TEST(Sharding, ParallelSolvePoolMatchesSerialOnDisjointZones) {
-  // Reference: two zones on separate domains, settled serially (no pool).
+  // Reference: two zones on separate domains, each settled by its own
+  // scheduler's zero-delay post (no pool).
   std::vector<std::int64_t> serial;
   {
     sim::Simulation sim;
@@ -284,14 +297,14 @@ TEST(Sharding, ParallelSolvePoolMatchesSerialOnDisjointZones) {
     serial = run_zone_flows(sim, zones, zone_sched);
   }
 
-  // Same topology settled through a 2-worker SolvePool. The zones admit
-  // flows at the same instant, so the pool genuinely computes cross-domain
-  // batches — and the timeline must still replay the serial run exactly.
+  // Same topology settled through a SolvePool. The zones admit flows at
+  // the same instant, so the pool genuinely batches components of both
+  // domains — and the timeline must still replay the no-pool run exactly.
   std::vector<std::int64_t> pooled;
-  std::size_t parallel_settles = 0;
+  std::size_t max_batch = 0;
   {
     sim::Simulation sim;
-    sim::SolvePool pool(sim, 2);
+    sim::SolvePool pool(sim);
     std::vector<std::unique_ptr<sim::FluidDomain>> domains;
     std::vector<Zone> zones;
     std::vector<sim::FluidScheduler*> zone_sched;
@@ -302,7 +315,7 @@ TEST(Sharding, ParallelSolvePoolMatchesSerialOnDisjointZones) {
       zone_sched.push_back(&domains.back()->scheduler());
     }
     pooled = run_zone_flows(sim, zones, zone_sched);
-    parallel_settles = pool.parallel_settle_count();
+    max_batch = pool.max_batch_size();
     EXPECT_GT(pool.settle_count(), 0u);
   }
 
@@ -313,7 +326,7 @@ TEST(Sharding, ParallelSolvePoolMatchesSerialOnDisjointZones) {
   // The admission instant dirties both domains at once, so at least one
   // settle must actually have run a multi-component batch (otherwise this
   // test would be vacuous).
-  EXPECT_GT(parallel_settles, 0u);
+  EXPECT_GT(max_batch, 1u);
 }
 
 TEST(Sharding, TestbedExposesRequestedDomains) {
@@ -332,25 +345,21 @@ TEST(Sharding, TestbedExposesRequestedDomains) {
 
 // --- Boundary flows on the real topology -------------------------------------
 
+// The name predates the removal of the solve worker threads.
 TEST(Sharding, BladeDomainEpisodeBitIdenticalAcrossWorkerCounts) {
   // Carving every blade into its own domain turns each transfer (src tx on
   // one blade domain, dst rx on another, NFS + vhost on the shared zone)
   // into a boundary flow solved by the ghost-capacity exchange. The
-  // exchange runs serially between canonical-order compute rounds, so the
-  // whole episode must stay bit-identical at every worker count.
-  auto run_blades = [](int workers) {
-    return run_fallback_recovery(/*fluid_shards=*/1, workers, /*blade_domains=*/true);
-  };
-  const EpisodeTrace base = run_blades(0);
+  // exchange converges to the merged max-min rates, so the whole episode
+  // must replay the merged 1-shard enclosure bit for bit.
+  const EpisodeTrace blades = run_fallback_recovery(/*fluid_shards=*/1, /*blade_domains=*/true);
   // The blade-domain run is a real episode in its own right.
-  ASSERT_EQ(base.iter_seconds.size(), 16u);
-  EXPECT_EQ(base.transport, "openib");
-  EXPECT_TRUE(base.back_on_ib);
-  EXPECT_TRUE(base.hca_in_use);
-  for (const int workers : {1, 2, 4}) {
-    const EpisodeTrace t = run_blades(workers);
-    expect_traces_identical(t, base, "blade-domains workers=" + std::to_string(workers));
-  }
+  ASSERT_EQ(blades.iter_seconds.size(), 16u);
+  EXPECT_EQ(blades.transport, "openib");
+  EXPECT_TRUE(blades.back_on_ib);
+  EXPECT_TRUE(blades.hca_in_use);
+  expect_traces_identical(blades, run_fallback_recovery(/*fluid_shards=*/1),
+                          "blade domains vs merged");
 }
 
 TEST(Sharding, BladeDomainTestbedRegistersBoundaryFlows) {

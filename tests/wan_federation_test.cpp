@@ -13,9 +13,8 @@
 //     published caps (set_capacity marks the crossing components dirty
 //     even when the numeric capacity is unchanged).
 //  3. Determinism: with a lossy, time-varying link active, finite-work
-//     timelines are bit-identical at every SolvePool worker count — and a
-//     full cross-site Federation migration completes at the same
-//     nanosecond for workers 0/1/2.
+//     timelines, a full cross-site Federation migration and a 3-site mesh
+//     evacuation are pinned by value to the nanosecond.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -36,6 +35,7 @@
 #include "sim/simulation.h"
 #include "sim/task.h"
 #include "sim/wan_link.h"
+#include "util/rng.h"
 #include "vmm/host.h"
 #include "vmm/migration.h"
 #include "vmm/vm.h"
@@ -231,7 +231,7 @@ struct FederatedTopo {
   std::vector<std::unique_ptr<FluidResource>> res;  // regular resources only
   std::vector<FlowPtr> flows;
 
-  FederatedTopo(const WanTopo& t, int workers, WanLinkConfig cfg) : net(sim, workers) {
+  FederatedTopo(const WanTopo& t, WanLinkConfig cfg) : net(sim) {
     auto& da = net.add_domain("site-a");
     auto& db = net.add_domain("site-b");
     cfg.line_rate = Bandwidth::bytes_per_sec(t.line);
@@ -299,7 +299,7 @@ void run_golden_equivalence(std::uint32_t seed) {
   MergedTopo merged(t);
   // Zero RTT and zero loss: the Mathis ceiling is +inf and the factor
   // stays 1, so the policy's min() must be a no-op against the fair offer.
-  FederatedTopo split(t, /*workers=*/0, WanLinkConfig{});
+  FederatedTopo split(t, WanLinkConfig{});
   EXPECT_GT(split.net.boundary_flow_count(), 0u) << "seed=" << seed;
   check_rates(merged, split, t, seed, /*step=*/-1);
 
@@ -468,7 +468,7 @@ struct FederatedTopoN {
   std::vector<std::unique_ptr<FluidResource>> res;  // regular only
   std::vector<FlowPtr> flows;
 
-  FederatedTopoN(const NSiteTopo& t, int workers) : net(sim, workers) {
+  explicit FederatedTopoN(const NSiteTopo& t) : net(sim) {
     for (std::size_t s = 0; s < t.n_sites; ++s) {
       net.add_domain("site-" + std::to_string(s));
     }
@@ -528,7 +528,7 @@ void run_nsite_golden(std::uint32_t seed, std::size_t n_sites) {
   std::mt19937 rng(seed * 977 + static_cast<std::uint32_t>(n_sites));
   const NSiteTopo t = random_nsite_topo(rng, n_sites);
   MergedTopoN merged(t);
-  FederatedTopoN split(t, /*workers=*/0);
+  FederatedTopoN split(t);
   EXPECT_GT(split.net.boundary_flow_count(), 0u) << "sites=" << n_sites << " seed=" << seed;
   check_nsite_rates(merged, split, t, seed, /*step=*/-1);
 
@@ -598,7 +598,7 @@ WanLinkConfig tiny_mathis_link() {
 
 TEST(WanModel, MathisCeilingBindsPerConnection) {
   Simulation sim;
-  FluidNet net(sim, 0);
+  FluidNet net(sim);
   auto& a = net.add_domain("a");
   auto& b = net.add_domain("b");
   WanLink wan(sim, a.scheduler(), b.scheduler(), "w", tiny_mathis_link());
@@ -620,7 +620,7 @@ TEST(WanModel, MathisCeilingBindsPerConnection) {
 
 TEST(WanModel, WeightedFlowConvertsWireRateToFlowRate) {
   Simulation sim;
-  FluidNet net(sim, 0);
+  FluidNet net(sim);
   auto& a = net.add_domain("a");
   auto& b = net.add_domain("b");
   WanLink wan(sim, a.scheduler(), b.scheduler(), "w", tiny_mathis_link());
@@ -637,7 +637,7 @@ Task watch(FlowPtr flow, Simulation& sim, std::int64_t& out) {
 
 TEST(WanModel, PartitionFreezesCrossingFlowsUntilHeal) {
   Simulation sim;
-  FluidNet net(sim, 0);
+  FluidNet net(sim);
   auto& a = net.add_domain("a");
   auto& b = net.add_domain("b");
   WanLinkConfig cfg;
@@ -664,7 +664,7 @@ TEST(WanModel, PartitionFreezesCrossingFlowsUntilHeal) {
 
 TEST(WanModel, RttOnlyPhaseRefoldsPublishedCaps) {
   Simulation sim;
-  FluidNet net(sim, 0);
+  FluidNet net(sim);
   auto& a = net.add_domain("a");
   auto& b = net.add_domain("b");
   WanLinkConfig cfg = tiny_mathis_link();
@@ -681,7 +681,7 @@ TEST(WanModel, RttOnlyPhaseRefoldsPublishedCaps) {
   EXPECT_NEAR(flow->current_rate(), 10.0, 1e-9);
 }
 
-// --- Timeline bit-identity with a lossy, time-varying link ------------------
+// --- Timeline pinned by value, with a lossy, time-varying link --------------
 
 struct Timeline {
   std::int64_t final_ns = 0;
@@ -705,8 +705,8 @@ WanLinkConfig lossy_schedule_link() {
   return cfg;
 }
 
-Timeline run_wan_timeline(const WanTopo& t, int workers) {
-  FederatedTopo split(t, workers, lossy_schedule_link());
+Timeline run_wan_timeline(const WanTopo& t) {
+  FederatedTopo split(t, lossy_schedule_link());
   Timeline tl;
   tl.done_ns.assign(t.flows.size(), -1);
   for (std::size_t f = 0; f < split.flows.size(); ++f) {
@@ -719,21 +719,23 @@ Timeline run_wan_timeline(const WanTopo& t, int workers) {
   return tl;
 }
 
+// The name predates the removal of the solve worker threads.
 TEST(WanTimeline, BitIdenticalAcrossWorkerCountsWithLossyTimeVaryingLink) {
+  // Every seed's drain instant and per-flow completion stamps, as text; one
+  // FNV-1a digest pins all 20 timelines to the nanosecond.
+  std::string trace;
   for (std::uint32_t seed = 1; seed <= 20; ++seed) {
     std::mt19937 rng(seed);
     const WanTopo t =
         random_wan_topo(rng, /*finite_work=*/true, /*cap_scale=*/1e6, /*work_scale=*/2e5);
-    const Timeline base = run_wan_timeline(t, /*workers=*/0);
-    for (const int workers : {1, 2, 4}) {
-      const Timeline got = run_wan_timeline(t, workers);
-      EXPECT_EQ(got.final_ns, base.final_ns) << "seed=" << seed << " workers=" << workers;
-      EXPECT_EQ(got.done_ns, base.done_ns) << "seed=" << seed << " workers=" << workers;
+    const Timeline tl = run_wan_timeline(t);
+    trace += std::to_string(tl.final_ns);
+    for (const std::int64_t ns : tl.done_ns) {
+      trace += ' ' + std::to_string(ns);
     }
-    if (::testing::Test::HasFailure()) {
-      break;
-    }
+    trace += '\n';
   }
+  EXPECT_EQ(fnv1a(trace), 15125839730417327425ull) << trace;
 }
 
 }  // namespace
@@ -750,13 +752,12 @@ sim::Task migrate_and_stamp(sim::Simulation& sim, vmm::Host& src, vmm::Vm& vm, v
   done_ns = sim.now().count_nanos();
 }
 
-FederationConfig small_federation(int solve_workers) {
+FederationConfig small_federation() {
   FederationConfig cfg;
   cfg.site_a.ib_nodes = 0;
   cfg.site_a.eth_nodes = 2;
   cfg.site_b.ib_nodes = 0;
   cfg.site_b.eth_nodes = 2;
-  cfg.solve_workers = solve_workers;
   return cfg;
 }
 
@@ -766,8 +767,8 @@ struct FederatedRun {
   Duration downtime = Duration::zero();
 };
 
-FederatedRun run_cross_site_migration(int solve_workers) {
-  Federation fed(small_federation(solve_workers));
+FederatedRun run_cross_site_migration() {
+  Federation fed(small_federation());
   auto& src = fed.site_a().eth_host(0);
   vmm::Host* dst = fed.find_host("b:eth0");
   EXPECT_NE(dst, nullptr);
@@ -784,18 +785,18 @@ FederatedRun run_cross_site_migration(int solve_workers) {
   out.final_ns = fed.sim().run().count_nanos();
   out.downtime = stats.downtime;
 
-  EXPECT_TRUE(dst->resident(*vm)) << "workers=" << solve_workers;
-  EXPECT_FALSE(src.resident(*vm)) << "workers=" << solve_workers;
-  EXPECT_EQ(&vm->host(), dst) << "workers=" << solve_workers;
-  EXPECT_GT(out.done_ns, 0) << "workers=" << solve_workers;
-  EXPECT_EQ(fed.unconverged_exchange_count(), 0u) << "workers=" << solve_workers;
-  EXPECT_GT(fed.net().exchange_round_count(), 0u) << "workers=" << solve_workers;
-  EXPECT_LT(fed.net().max_exchange_rounds_per_settle(), 256u) << "workers=" << solve_workers;
+  EXPECT_TRUE(dst->resident(*vm));
+  EXPECT_FALSE(src.resident(*vm));
+  EXPECT_EQ(&vm->host(), dst);
+  EXPECT_GT(out.done_ns, 0);
+  EXPECT_EQ(fed.unconverged_exchange_count(), 0u);
+  EXPECT_GT(fed.net().exchange_round_count(), 0u);
+  EXPECT_LT(fed.net().max_exchange_rounds_per_settle(), 256u);
   return out;
 }
 
 TEST(WanFederation, HostsResolveAcrossSitesAndDomainsAreDistinct) {
-  Federation fed(small_federation(0));
+  Federation fed(small_federation());
   EXPECT_EQ(fed.find_host("a:eth0"), &fed.site_a().eth_host(0));
   EXPECT_EQ(fed.find_host("b:eth1"), &fed.site_b().eth_host(1));
   EXPECT_EQ(fed.find_host("c:eth0"), nullptr);
@@ -810,16 +811,12 @@ TEST(WanFederation, HostsResolveAcrossSitesAndDomainsAreDistinct) {
   EXPECT_EQ(fed.resolver()("b:eth0"), &fed.site_b().eth_host(0));
 }
 
+// The name predates the removal of the solve worker threads.
 TEST(WanFederation, CrossSiteMigrationLandsAtSameInstantForEveryWorkerCount) {
-  const FederatedRun base = run_cross_site_migration(0);
-  EXPECT_FALSE(base.downtime.is_negative());
-  for (const int workers : {1, 2}) {
-    const FederatedRun got = run_cross_site_migration(workers);
-    EXPECT_EQ(got.done_ns, base.done_ns) << "workers=" << workers;
-    EXPECT_EQ(got.final_ns, base.final_ns) << "workers=" << workers;
-    EXPECT_EQ(got.downtime.count_nanos(), base.downtime.count_nanos())
-        << "workers=" << workers;
-  }
+  const FederatedRun run = run_cross_site_migration();
+  EXPECT_EQ(run.done_ns, 37'230'902'384);
+  EXPECT_EQ(run.final_ns, 37'230'902'384);
+  EXPECT_EQ(run.downtime.count_nanos(), 0);
 }
 
 // Regression: the eth address-base dedup and per-edge uplink peering used
@@ -863,9 +860,9 @@ TEST(WanFederation, ThreeSiteFederationDoesNotAliasEthAddresses) {
   EXPECT_EQ(fed.route(1, 2).size(), 1u);
 }
 
-// --- N-site evacuation timelines: bit-identical across worker counts --------
+// --- N-site evacuation timelines, pinned by value ---------------------------
 
-FederationConfig evac_mesh(int solve_workers) {
+FederationConfig evac_mesh() {
   FederationConfig cfg;
   TestbedConfig source;
   source.ib_nodes = 0;
@@ -888,7 +885,6 @@ FederationConfig evac_mesh(int solve_workers) {
   calm.rtt = Duration::millis(20);
   calm.loss = 0.002;
   cfg.edges = {{0, 1, wan}, {0, 2, calm}, {1, 2, calm}};
-  cfg.solve_workers = solve_workers;
   return cfg;
 }
 
@@ -901,8 +897,8 @@ struct EvacTimeline {
   std::vector<std::string> hosts;
 };
 
-EvacTimeline run_mesh_evacuation(int solve_workers, bool sequential) {
-  Federation fed(evac_mesh(solve_workers));
+EvacTimeline run_mesh_evacuation(bool sequential) {
+  Federation fed(evac_mesh());
   for (int h = 0; h < fed.site(0).eth_host_count(); ++h) {
     for (int v = 0; v < 3; ++v) {
       vmm::VmSpec spec;
@@ -931,28 +927,33 @@ EvacTimeline run_mesh_evacuation(int solve_workers, bool sequential) {
     tl.stamps.push_back(vm.downtime.count_nanos());
     tl.hosts.push_back(vm.dst_host);
   }
-  EXPECT_EQ(report.evacuated, report.vms.size())
-      << "workers=" << solve_workers << " sequential=" << sequential;
-  EXPECT_EQ(fed.unconverged_exchange_count(), 0u) << "workers=" << solve_workers;
+  EXPECT_EQ(report.evacuated, report.vms.size()) << "sequential=" << sequential;
+  EXPECT_EQ(fed.unconverged_exchange_count(), 0u) << "sequential=" << sequential;
   return tl;
 }
 
+// The name predates the removal of the solve worker threads.
 TEST(WanFederation, MeshEvacuationTimelineBitIdenticalAcrossWorkerCounts) {
-  const EvacTimeline base = run_mesh_evacuation(0, /*sequential=*/false);
+  const EvacTimeline base = run_mesh_evacuation(/*sequential=*/false);
   EXPECT_EQ(base.evacuated, 6u);
-  EXPECT_GT(base.waves, 0);
-  for (const int workers : {1, 2, 4}) {
-    const EvacTimeline got = run_mesh_evacuation(workers, /*sequential=*/false);
-    EXPECT_EQ(got.final_ns, base.final_ns) << "workers=" << workers;
-    EXPECT_EQ(got.makespan_ns, base.makespan_ns) << "workers=" << workers;
-    EXPECT_EQ(got.waves, base.waves) << "workers=" << workers;
-    EXPECT_EQ(got.stamps, base.stamps) << "workers=" << workers;
-    EXPECT_EQ(got.hosts, base.hosts) << "workers=" << workers;
+  EXPECT_EQ(base.final_ns, 48'621'370'300);
+  EXPECT_EQ(base.makespan_ns, 16'701'370'300);
+  EXPECT_EQ(base.waves, 2);
+  // Every VM's (start, done, downtime) stamps and destination host, as
+  // text; one FNV-1a digest pins them.
+  std::string trace;
+  for (std::size_t v = 0; v < base.hosts.size(); ++v) {
+    trace += base.hosts[v];
+    for (std::size_t i = 3 * v; i < 3 * v + 3; ++i) {
+      trace += ' ' + std::to_string(base.stamps[i]);
+    }
+    trace += '\n';
   }
+  EXPECT_EQ(fnv1a(trace), 17006206085128159725ull) << trace;
   // The planner's concurrent waves beat the one-at-a-time baseline on the
   // same mesh (the full-size gate lives in examples/mass_evacuation and
   // bench_gate's sweep9 row; this pins the miniature version).
-  const EvacTimeline naive = run_mesh_evacuation(0, /*sequential=*/true);
+  const EvacTimeline naive = run_mesh_evacuation(/*sequential=*/true);
   EXPECT_EQ(naive.evacuated, 6u);
   EXPECT_LT(base.makespan_ns, naive.makespan_ns);
 }
