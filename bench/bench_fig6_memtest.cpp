@@ -16,55 +16,10 @@
 #include <iostream>
 
 #include "bench/common.h"
-#include "core/job.h"
-#include "core/ninja.h"
-#include "core/testbed.h"
+#include "scenarios/paper.h"
 #include "util/table.h"
-#include "workloads/memtest.h"
-
-namespace {
 
 using namespace nm;
-
-core::NinjaStats run_case(Bytes array_size) {
-  core::TestbedConfig tcfg;
-  tcfg.hotplug.noise_factor = 3.0;  // whole-cluster migration noise
-  core::Testbed tb(tcfg);
-  core::JobConfig cfg;
-  cfg.name = "memtest";
-  cfg.vm_count = 8;
-  cfg.ranks_per_vm = 1;
-  core::MpiJob job(tb, cfg);
-  job.init();
-
-  workloads::MemtestConfig mcfg;
-  mcfg.array_size = array_size;
-  mcfg.passes = 1000;
-  job.launch([&job, mcfg](mpi::RankId me) -> sim::Task {
-    co_await workloads::run_memtest_rank(job, me, mcfg, nullptr);
-  });
-
-  // IB -> IB rotation: VM i moves to blade (i+1) mod 8 and re-attaches
-  // that blade's HCA.
-  core::MigrationPlan plan;
-  plan.vms = job.vms();
-  for (int i = 0; i < 8; ++i) {
-    plan.destinations.push_back(tb.ib_host((i + 1) % 8).name());
-  }
-  plan.attach_host_pci = core::Testbed::kHcaPciAddr;
-  plan.ranks_per_vm = 1;
-
-  core::NinjaStats stats;
-  tb.sim().spawn([](core::Testbed& t, core::MpiJob& j, core::MigrationPlan p,
-                    core::NinjaStats& st) -> sim::Task {
-    co_await t.sim().delay(Duration::seconds(5.0));
-    co_await j.ninja().execute(std::move(p), &st);
-  }(tb, job, plan, stats));
-  tb.sim().run_for(Duration::minutes(10));
-  return stats;
-}
-
-}  // namespace
 
 int main() {
   bench::print_header("Figure 6",
@@ -76,17 +31,16 @@ int main() {
   const PaperRow paper[] = {
       {53.7, 14.6, 28.5}, {35.9, 13.5, 28.5}, {38.7, 12.5, 28.5}, {44.2, 11.3, 28.6}};
   const Bytes sizes[] = {Bytes::gib(2), Bytes::gib(4), Bytes::gib(8), Bytes::gib(16)};
-  const Duration confirm = symvirt::CoordinatorTiming{}.confirm;
-
   StackedBarChart chart("Ninja overhead breakdown (this repro)",
                         {"migration", "hotplug", "linkup"});
   TextTable table({"array", "migration (paper/ours)", "hotplug (paper/ours)",
                    "linkup (paper/ours)", "total (paper/ours)"});
   for (int i = 0; i < 4; ++i) {
-    const auto stats = run_case(sizes[i]);
-    const double mig = stats.migration.to_seconds();
-    const double hot = stats.hotplug(confirm).to_seconds();
-    const double link = stats.linkup_excl_confirm(confirm).to_seconds();
+    scenarios::PaperRun run(scenarios::Fig6{sizes[i]});
+    run.testbed().sim().run_for(Duration::minutes(10));
+    const double mig = run.ninja().migration.to_seconds();
+    const double hot = run.hotplug().to_seconds();
+    const double link = run.linkup().to_seconds();
     chart.add_bar(std::to_string(sizes[i].count() >> 30) + "GB", {mig, hot, link});
     const auto& p = paper[i];
     table.add_row({std::to_string(sizes[i].count() >> 30) + "GB",

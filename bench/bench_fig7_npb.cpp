@@ -15,57 +15,27 @@
 #include <iostream>
 
 #include "bench/common.h"
-#include "core/job.h"
-#include "core/ninja.h"
-#include "core/testbed.h"
+#include "scenarios/paper.h"
 #include "util/table.h"
-#include "workloads/npb.h"
 
 namespace {
 
 using namespace nm;
 
+/// Rank 0's elapsed time and the episode's migration, hotplug and link-up,
+/// in seconds.
 struct RunResult {
   double total = 0;
-  core::NinjaStats ninja;
+  double migration = 0;
+  double hotplug = 0;
+  double linkup = 0;
 };
 
 RunResult run_kernel(const workloads::NpbSpec& spec, bool with_migration) {
-  core::TestbedConfig tcfg;
-  tcfg.hotplug.noise_factor = 3.0;
-  core::Testbed tb(tcfg);
-  core::JobConfig cfg;
-  cfg.name = spec.name;
-  cfg.vm_count = 8;
-  cfg.ranks_per_vm = 8;  // 64 processes
-  core::MpiJob job(tb, cfg);
-  job.init();
-
-  const TimePoint t0 = tb.sim().now();
-  workloads::NpbResult r0;
-  job.launch([&job, spec, &r0](mpi::RankId me) -> sim::Task {
-    co_await workloads::run_npb_rank(job, me, spec, me == 0 ? &r0 : nullptr);
-  });
-
-  RunResult result;
-  if (with_migration) {
-    core::MigrationPlan plan;
-    plan.vms = job.vms();
-    for (int i = 0; i < 8; ++i) {
-      plan.destinations.push_back(tb.ib_host((i + 1) % 8).name());
-    }
-    plan.attach_host_pci = core::Testbed::kHcaPciAddr;
-    plan.ranks_per_vm = 8;
-    tb.sim().spawn([](core::Testbed& t, core::MpiJob& j, core::MigrationPlan p,
-                      core::NinjaStats& st) -> sim::Task {
-      co_await t.sim().delay(Duration::minutes(3));  // paper: 3 min after start
-      co_await j.ninja().execute(std::move(p), &st);
-    }(tb, job, plan, result.ninja));
-  }
-  tb.sim().run();
-  (void)t0;
-  result.total = r0.elapsed.to_seconds();
-  return result;
+  scenarios::PaperRun run(scenarios::Fig7{spec, with_migration});
+  run.testbed().sim().run();
+  return {run.npb().elapsed.to_seconds(), run.ninja().migration.to_seconds(),
+          run.hotplug().to_seconds(), run.linkup().to_seconds()};
 }
 
 }  // namespace
@@ -74,7 +44,6 @@ int main() {
   bench::print_header("Figure 7",
                       "NPB 3.3 class D, 64 processes: baseline vs proposed [seconds]");
 
-  const Duration confirm = symvirt::CoordinatorTiming{}.confirm;
   StackedBarChart chart("baseline vs proposed (this repro)",
                         {"application", "migration", "hotplug", "linkup"});
   TextTable table({"bench", "baseline", "proposed", "overhead", "migration", "hotplug",
@@ -82,9 +51,9 @@ int main() {
   for (const auto& spec : workloads::npb_class_d_suite()) {
     const RunResult base = run_kernel(spec, false);
     const RunResult prop = run_kernel(spec, true);
-    const double mig = prop.ninja.migration.to_seconds();
-    const double hot = prop.ninja.hotplug(confirm).to_seconds();
-    const double link = prop.ninja.linkup_excl_confirm(confirm).to_seconds();
+    const double mig = prop.migration;
+    const double hot = prop.hotplug;
+    const double link = prop.linkup;
     const double overhead = prop.total - base.total;
     chart.add_bar(spec.name + " base", {base.total, 0, 0, 0});
     chart.add_bar(spec.name + " prop", {prop.total - mig - hot - link, mig, hot, link});

@@ -1,16 +1,15 @@
 // Value-pinned determinism gates: one table, one row per gate. Each row
 // runs its scenario once (plus an optional comparison run) and fails unless
 //   - the row's invariants hold on every run;
-//   - the BENCH_*.json it writes into the working directory matches the
-//     committed bench/BENCH_*.baseline.json of the same name, key for key
+//   - its values match the `<row>.` keys of bench/pins.json, key for key
 //     and value for value. Values are compared as text, so 20-digit
 //     digests stay exact.
 // It takes no arguments. Each failure is printed with its row and the key
 // or invariant that failed, and the exit status is then non-zero.
 //
 // Gate values are simulated quantities only (nanoseconds, counts,
-// digests), never wall time, so a baseline moves only when simulated
-// behaviour does; README.md says how to re-pin one.
+// digests), never wall time, so a pin moves only when simulated behaviour
+// does; README.md says how to re-pin one.
 //
 // Rows (CI-sized cousins of the examples):
 //   sweep7    cross-domain boundary flows through a shared spine;
@@ -21,10 +20,8 @@
 //   policies  migration-decision policies under live service load.
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <functional>
 #include <iostream>
-#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -32,15 +29,14 @@
 #include <vector>
 
 #include "bench/common.h"
-#include "core/evacuation_driver.h"
 #include "core/federation.h"
-#include "core/service_episode.h"
-#include "core/testbed.h"
 #include "policy/policies.h"
+#include "scenarios/evacuation.h"
+#include "scenarios/kv.h"
+#include "scenarios/pins.h"
 #include "sim/fluid_net.h"
 #include "sim/sync.h"
 #include "util/table.h"
-#include "workloads/kv_service.h"
 
 namespace {
 
@@ -97,7 +93,7 @@ Metrics cross_domain() {
       }
     }
     m["pods" + std::to_string(pods) + "_final_ns"] = sim.run().count_nanos();
-    m["unconverged"] += net.unconverged_exchange_count();
+    m["unconverged"] += scenarios::counters(net).at("net.unconverged");
   }
   return m;
 }
@@ -147,239 +143,90 @@ Metrics federated_evacuation() {
     out["evac_done_ns"] = f.sim().now().count_nanos();
   }(fed, std::move(refs), m));
   m["final_ns"] = fed.sim().run().count_nanos();
-  m["unconverged"] = fed.unconverged_exchange_count();
+  m["unconverged"] = scenarios::counters(fed.net()).at("net.unconverged");
   return m;
 }
 
-// --- sweep9: planned mass evacuation over a 5-site mesh --------------------
+// --- sweeps 9 and 11: site drains ---------------------------------------------
 
-Metrics mesh_evacuation(bool sequential) {
-  // Same shape as examples/mass_evacuation.cpp, sized for CI: dc0 is the
-  // failing site, dc1..dc3 are direct neighbours, dc4 is two hops out so
-  // the planner's multi-hop routes carry real traffic.
-  core::FederationConfig fcfg;
-  core::TestbedConfig source;
-  source.ib_nodes = 0;
-  source.eth_nodes = 8;
-  core::TestbedConfig refuge;
-  refuge.ib_nodes = 0;
-  refuge.eth_nodes = 4;
-  fcfg.sites = {{"dc0", source}, {"dc1", refuge}, {"dc2", refuge},
-                {"dc3", refuge}, {"dc4", refuge}};
-  sim::WanLinkConfig metro;  // EXPERIMENTS.md metro calibration
-  metro.line_rate = Bandwidth::gbps(1);
-  metro.rtt = Duration::millis(5);
-  metro.loss = 0.0001;
-  fcfg.edges = {{0, 1, metro}, {0, 2, metro}, {0, 3, metro},
-                {1, 4, metro}, {2, 4, metro}};
-  core::Federation fed(fcfg);
-
+/// Drains site 0 of `fed`; the makespan is reported as `<mode>_makespan_ns`.
+Metrics run_drain(core::Federation& fed, const scenarios::Fleet& fleet,
+                  core::EvacuationConfig ecfg, const std::string& mode) {
+  scenarios::Drain drain(fed, fleet, std::move(ecfg));
   Metrics m;
-  auto& src = fed.site(0);
-  for (int h = 0; h < src.eth_host_count(); ++h) {
-    for (int v = 0; v < 4; ++v) {
-      vmm::VmSpec spec;
-      spec.name = "vm" + std::to_string(h) + "_" + std::to_string(v);
-      spec.memory = Bytes::gib(1);
-      spec.base_os_footprint = Bytes::mib(128);
-      auto vm = src.boot_vm(src.eth_host(h), spec, /*with_hca=*/false);
-      vm->memory().write_data(Bytes::mib(128), Bytes::mib(128));
-      ++m["fleet"];
-    }
-  }
-  fed.settle();
-
-  core::EvacuationConfig ecfg;
-  ecfg.source_site = 0;
-  ecfg.sequential = sequential;
-  core::MassEvacuation evac(fed, ecfg);
-  core::EvacuationReport report;
-  fed.sim().spawn(evac.run(&report), "mass-evac");
   m["final_ns"] = fed.sim().run().count_nanos();
+  const core::EvacuationReport& report = drain.report();
+  m["fleet"] = drain.fleet_size();
   m["evac_done_ns"] = report.done_ns;
-  m[sequential ? "sequential_makespan_ns" : "planner_makespan_ns"] =
-      report.done_ns - report.started_ns;
+  m[mode + "_makespan_ns"] = report.done_ns - report.started_ns;
   m["waves"] = report.waves;
   m["evacuated"] = report.evacuated;
-  m["unconverged"] = fed.unconverged_exchange_count();
+  m["unconverged"] = drain.counters().at("net.unconverged");
   return m;
+}
+
+// sweep9: examples/mass_evacuation's metro mesh sized for CI, 8 source
+// hosts x 4 VMs and 4 hosts per refuge.
+Metrics mesh_evacuation(bool sequential) {
+  core::Federation fed(scenarios::metro_mesh(8, 4));
+  core::EvacuationConfig ecfg;
+  ecfg.sequential = sequential;
+  return run_drain(fed, {.vms_per_host = 4, .memory = Bytes::gib(1), .data = Bytes::mib(128)},
+                   std::move(ecfg), sequential ? "sequential" : "planner");
+}
+
+// sweep11: examples/mass_evacuation's Clos mesh sized for CI, 4 hosts per
+// leaf. Equal VM sizes make the blind big-first order equal the boot
+// order, so a topology-blind first wave piles onto leaf 0's single
+// 1.25 GB/s uplink while the leaf-aware planner spreads sources across
+// racks and caps refuge-leaf incast.
+Metrics clos_evacuation(bool topology_blind) {
+  core::Federation fed(scenarios::clos_mesh(4));
+  core::EvacuationConfig ecfg;
+  ecfg.topology_blind = topology_blind;
+  ecfg.planner.stream_rate_cap = scenarios::kClosStreamRate;
+  return run_drain(fed, {.vms_per_host = 2, .memory = Bytes::gib(1), .data = Bytes::mib(768)},
+                   std::move(ecfg), topology_blind ? "blind" : "aware");
 }
 
 // --- sweep10: SLO-visible migration under open-loop service load -----------
 
+// CI-sized cousin of examples/live_service: 2 KV servers under 2 fleets of
+// open-loop traffic, the loaded kv0 migrated onto a spare blade while its
+// clients keep hammering it.
 Metrics service_slo() {
-  // CI-sized cousin of examples/live_service: 2 KV servers under 2 fleets
-  // of open-loop traffic, the loaded kv0 migrated onto a spare blade while
-  // its clients keep hammering it.
-  core::TestbedConfig config;
-  // Second (empty) shard: settle through the SolvePool's end-of-instant
-  // batch, the path this row's baseline was pinned on (see DESIGN.md §10).
-  config.fluid_shards = 2;
-  core::Testbed testbed(config);
-
-  workloads::KvServiceConfig svc;
-  svc.replicas = 2;
-  svc.zipf_s = 0.7;
-  svc.service_core_seconds = 1.0e-3;
-  svc.worker_threads = 4;
-  svc.deadline = Duration::millis(15);
-  svc.write_fraction = 0.25;
-  svc.value_bytes = Bytes::kib(8);
-  workloads::KvService service(testbed, svc);
-
-  std::vector<std::shared_ptr<vmm::Vm>> vms;
-  for (int i = 0; i < 2; ++i) {
-    vmm::VmSpec spec;
-    spec.name = "kv" + std::to_string(i);
-    spec.memory = Bytes::mib(192);
-    spec.base_os_footprint = Bytes::mib(64);
-    vms.push_back(testbed.boot_vm(testbed.eth_host(i), spec, /*with_hca=*/false));
-    service.add_server(vms.back());
-  }
-  for (int i = 0; i < 2; ++i) {
-    workloads::ClientFleetConfig fleet;
-    fleet.name = "fleet" + std::to_string(i);
-    fleet.rate_per_sec = 600.0;
-    fleet.window = Duration::seconds(3);
-    service.add_fleet(testbed.ib_host(i), fleet);
-  }
-  testbed.settle();
-
-  core::ServiceEpisode episode(testbed.sim());
-  service.observe_migration(&episode.live());
-  service.start();
-  (void)episode.start(
-      core::EpisodeSpec(vms[0], testbed.eth_host(2)).after(Duration::millis(500)));
-
+  scenarios::KvScenario kv({.servers = 2,
+                            .profile = scenarios::KvProfile::kLight,
+                            .rate_per_fleet = 600.0,
+                            .window = Duration::seconds(3),
+                            .migrate_at = Duration::millis(500)});
+  kv.start(kv.episode_spec());
   Metrics m;
-  m["final_ns"] = testbed.sim().run_for(Duration::seconds(23)).count_nanos();
+  m["final_ns"] = kv.testbed().sim().run_for(Duration::seconds(23)).count_nanos();
+  const workloads::KvService& service = kv.service();
   m["service_digest"] = service.digest();
   m["requests"] = service.generated();
   m["completed"] = service.completed();
   m["deadline_misses"] = service.deadline_misses();
   m["p999_ns"] = service.overall().percentile(0.999).count_nanos();
-  m["blackout_ns"] = episode.done() ? episode.report().blackout.count_nanos() : 0;
-  m["unconverged"] = testbed.net().unconverged_exchange_count();
-  return m;
-}
-
-// --- sweep11: oversubscribed Clos evacuation, leaf-aware vs blind ----------
-
-Metrics clos_evacuation(bool topology_blind) {
-  // CI-sized cousin of `examples/mass_evacuation`'s Clos scenario: dc0
-  // drains 12 hosts racked 4-per-leaf under three 4:1-oversubscribed
-  // leaves into two 2-leaf 2:1 refuges. Equal VM sizes make the blind
-  // big-first order equal the boot order, so a topology-blind first wave
-  // piles onto leaf 0's single 1.25 GB/s uplink while the leaf-aware
-  // planner spreads sources across racks and caps refuge-leaf incast.
-  constexpr double kStreamCap = 500e6;  // bytes/s per migration thread
-  core::FederationConfig fcfg;
-  core::TestbedConfig source;
-  source.ib_nodes = 0;
-  source.eth_nodes = 12;
-  source.clos.leaves = 3;
-  source.clos.spines = 1;
-  source.clos.hosts_per_leaf = 4;
-  source.clos.oversubscription = 4.0;  // leaf uplink 1.25 GB/s vs 5 GB/s of hosts
-  source.migration.thread_send_rate = kStreamCap;
-  core::TestbedConfig refuge;
-  refuge.ib_nodes = 0;
-  refuge.eth_nodes = 4;
-  refuge.clos.leaves = 2;
-  refuge.clos.spines = 1;
-  refuge.clos.hosts_per_leaf = 2;
-  refuge.clos.oversubscription = 2.0;  // two 500 MB/s incast slots per leaf
-  refuge.migration.thread_send_rate = kStreamCap;
-  fcfg.sites = {{"dc0", source}, {"dc1", refuge}, {"dc2", refuge}};
-  sim::WanLinkConfig wan;
-  wan.line_rate = Bandwidth::gbps(40);
-  wan.rtt = Duration::millis(5);
-  wan.loss = 0.00001;
-  fcfg.edges = {{0, 1, wan}, {0, 2, wan}};
-  fcfg.uplink_rate = Bandwidth::gbps(100);  // WAN gateways are not the story
-  core::Federation fed(fcfg);
-
-  Metrics m;
-  auto& src = fed.site(0);
-  for (int h = 0; h < src.eth_host_count(); ++h) {
-    for (int v = 0; v < 2; ++v) {
-      vmm::VmSpec spec;
-      spec.name = "vm" + std::to_string(h) + "_" + std::to_string(v);
-      spec.memory = Bytes::gib(1);
-      spec.base_os_footprint = Bytes::mib(128);
-      auto vm = src.boot_vm(src.eth_host(h), spec, /*with_hca=*/false);
-      vm->memory().write_data(Bytes::mib(128), Bytes::mib(768));
-      ++m["fleet"];
-    }
-  }
-  fed.settle();
-
-  core::EvacuationConfig ecfg;
-  ecfg.source_site = 0;
-  ecfg.topology_blind = topology_blind;
-  ecfg.planner.stream_rate_cap = kStreamCap;
-  core::MassEvacuation evac(fed, ecfg);
-  core::EvacuationReport report;
-  fed.sim().spawn(evac.run(&report), "clos-evac");
-  m["final_ns"] = fed.sim().run().count_nanos();
-  m["evac_done_ns"] = report.done_ns;
-  m[topology_blind ? "blind_makespan_ns" : "aware_makespan_ns"] =
-      report.done_ns - report.started_ns;
-  m["waves"] = report.waves;
-  m["evacuated"] = report.evacuated;
-  m["unconverged"] = fed.unconverged_exchange_count();
+  m["blackout_ns"] = kv.episode().done() ? kv.episode().report().blackout.count_nanos() : 0;
+  m["unconverged"] = kv.counters().at("net.unconverged");
   return m;
 }
 
 // --- policies: decision policies under live service load -------------------
 
-// The examples/live_service scenario: 4 loaded KV servers (per-server
-// utilisation ~0.9), kv0 migrated off its draining host at t=2 s while 4
-// fleets keep an open loop of 10,400 req/s on the service. Outputs are
-// prefixed with `name`.
+// The examples/live_service scenario (per-server utilisation ~0.9) under
+// `policies`. Outputs are prefixed with `name`.
 void run_policy_episode(const std::string& name, policy::PolicySet policies, Metrics& m) {
-  core::TestbedConfig config;
-  // Settle through the SolvePool, as in sweep10 (see DESIGN.md §10).
-  config.fluid_shards = 2;
-  core::Testbed testbed(config);
+  scenarios::KvScenario kv(scenarios::kLiveService);
+  core::EpisodeSpec spec = kv.episode_spec();
+  spec.with(std::move(policies), kv.testbed().config().seed);
+  kv.start(std::move(spec));
+  kv.testbed().sim().run_for(Duration::seconds(40));
 
-  workloads::KvServiceConfig svc;
-  svc.replicas = 2;
-  svc.service_core_seconds = 1.38e-3;
-  svc.worker_threads = 8;
-  svc.zipf_s = 0.7;
-  svc.deadline = Duration::millis(20);
-  svc.write_fraction = 0.4;
-  svc.value_bytes = Bytes::kib(8);
-  workloads::KvService service(testbed, svc);
-
-  std::vector<std::shared_ptr<vmm::Vm>> vms;
-  for (int i = 0; i < 4; ++i) {
-    vmm::VmSpec spec;
-    spec.name = "kv" + std::to_string(i);
-    spec.memory = Bytes::mib(256);
-    spec.base_os_footprint = Bytes::mib(96);
-    vms.push_back(testbed.boot_vm(testbed.eth_host(i), spec, /*with_hca=*/false));
-    service.add_server(vms.back());
-  }
-  for (int i = 0; i < 4; ++i) {
-    workloads::ClientFleetConfig fleet;
-    fleet.name = "fleet" + std::to_string(i);
-    fleet.rate_per_sec = 2600.0;
-    fleet.window = Duration::seconds(10);
-    service.add_fleet(testbed.ib_host(i), fleet);
-  }
-  testbed.settle();
-
-  core::ServiceEpisode episode(testbed.sim());
-  service.observe_migration(&episode.live());
-  service.start();
-  core::EpisodeSpec spec(vms[0], testbed.eth_host(4));
-  spec.after(Duration::seconds(2)).observe(service.observation_source());
-  spec.with(std::move(policies), config.seed);
-  (void)episode.start(std::move(spec));
-  testbed.sim().run_for(Duration::seconds(40));
-
+  const workloads::KvService& service = kv.service();
+  const core::ServiceEpisode& episode = kv.episode();
   const auto& precopy = service.phase(vmm::MigrationPhase::kPreCopy);
   m[name + "_digest"] = service.digest();
   m[name + "_generated"] = service.generated();
@@ -433,9 +280,8 @@ const Check kEveryVmLands = {"every VM lands", [](const Metrics& m) {
                              }};
 
 struct Gate {
+  /// Also the prefix of the row's keys in the pin file.
   std::string name;
-  /// The row writes <stem>.json and compares it with bench/<stem>.baseline.json.
-  std::string stem;
   std::function<Metrics()> run;
   /// Hold on every run, the comparison run included.
   std::vector<Check> invariants;
@@ -460,17 +306,14 @@ constexpr std::uint64_t kBlackoutCeilingNs = 30'000'000;
 
 const Gate kGates[] = {
     {.name = "sweep7",
-     .stem = "BENCH_scalability_sweep7",
      .run = cross_domain,
      .invariants = {kConverged},
      .keys = {"pods2_final_ns", "pods4_final_ns"}},
     {.name = "sweep8",
-     .stem = "BENCH_scalability_sweep8",
      .run = federated_evacuation,
      .invariants = {kConverged},
      .keys = {"evac_done_ns", "final_ns"}},
     {.name = "sweep9",
-     .stem = "BENCH_scalability_sweep9",
      .run = [] { return mesh_evacuation(/*sequential=*/false); },
      .invariants = {kEveryVmLands, kConverged},
      .comparison = [] { return mesh_evacuation(/*sequential=*/true); },
@@ -481,7 +324,6 @@ const Gate kGates[] = {
      .keys = {"evac_done_ns", "final_ns", "waves", "planner_makespan_ns",
               "sequential_makespan_ns"}},
     {.name = "sweep10",
-     .stem = "BENCH_scalability_sweep10",
      .run = service_slo,
      .invariants = {{"every request completes",
                      [](const Metrics& m) { return m.at("completed") == m.at("requests"); }},
@@ -492,7 +334,6 @@ const Gate kGates[] = {
      .keys = {"final_ns", "service_digest", "requests", "deadline_misses", "p999_ns",
               "blackout_ns"}},
     {.name = "sweep11",
-     .stem = "BENCH_scalability_sweep11",
      .run = [] { return clos_evacuation(/*topology_blind=*/false); },
      .invariants = {kEveryVmLands, kConverged},
      .comparison = [] { return clos_evacuation(/*topology_blind=*/true); },
@@ -502,7 +343,6 @@ const Gate kGates[] = {
                   }}},
      .keys = {"evac_done_ns", "final_ns", "waves", "aware_makespan_ns", "blind_makespan_ns"}},
     {.name = "policies",
-     .stem = "BENCH_ablation_policies",
      .run = policy_ablation,
      .invariants = {{"every variant finishes its episode and its requests",
                      [](const Metrics& m) {
@@ -529,47 +369,9 @@ const Gate kGates[] = {
 
 // --- The runner ------------------------------------------------------------------
 
-/// Key/value-text pairs in emission order.
-using Json = std::vector<std::pair<std::string, std::string>>;
-
-bool write_json(const std::string& path, const Json& values) {
-  std::ofstream out(path);
-  out << "{\n";
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    out << "  \"" << values[i].first << "\": " << values[i].second
-        << (i + 1 < values.size() ? "," : "") << "\n";
-  }
-  out << "}\n";
-  out.close();
-  return !out.fail();
-}
-
-/// Reads a flat JSON object as key -> value text. A missing file reads as
-/// empty, so every emitted key then fails as unpinned.
-std::map<std::string, std::string> read_baseline(const std::string& path) {
-  std::ifstream in(path);
-  const std::string s((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  std::map<std::string, std::string> values;
-  std::size_t pos = 0;
-  while ((pos = s.find('"', pos)) != std::string::npos) {
-    const std::size_t key_end = s.find('"', pos + 1);
-    if (key_end == std::string::npos) {
-      break;
-    }
-    const std::size_t begin = s.find_first_not_of(" \t\r\n:", key_end + 1);
-    if (begin == std::string::npos) {
-      break;
-    }
-    const std::size_t end = s.find_first_of(" \t\r\n,}", begin);
-    values[s.substr(pos + 1, key_end - pos - 1)] = s.substr(begin, end - begin);
-    pos = end;
-  }
-  return values;
-}
-
-/// Runs one row, prints its failures and a summary line, and returns
-/// whether it passed.
-bool run_gate(const Gate& g) {
+/// Runs one row, compares its keys with the `<row>.` pins, prints its
+/// failures and a summary line, and returns whether it passed.
+bool run_gate(const Gate& g, const std::map<std::string, std::string>& pins) {
   const auto start = std::chrono::steady_clock::now();
   std::vector<std::string> failures;
   const auto check = [&failures](const std::vector<Check>& checks, const Metrics& m,
@@ -590,29 +392,28 @@ bool run_gate(const Gate& g) {
   }
   check(g.outcome, m, "outcome");
 
-  Json emitted;
+  const std::string prefix = g.name + ".";
+  std::map<std::string, std::string> pinned;
+  for (const auto& [key, value] : pins) {
+    if (key.starts_with(prefix)) {
+      pinned.emplace(key, value);
+    }
+  }
   for (const std::string& k : g.keys) {
-    emitted.emplace_back(k, std::to_string(m.at(k)));
-  }
-  if (!write_json(g.stem + ".json", emitted)) {
-    failures.push_back("cannot write " + g.stem + ".json");
-  }
-
-  const std::string baseline = std::string(NM_BENCH_DIR) + "/" + g.stem + ".baseline.json";
-  std::map<std::string, std::string> pinned = read_baseline(baseline);
-  for (const auto& [key, value] : emitted) {
+    const std::string key = prefix + k;
+    const std::string value = std::to_string(m.at(k));
     const auto it = pinned.find(key);
     if (it == pinned.end()) {
-      failures.push_back(key + " = " + value + " is not pinned in " + baseline);
+      failures.push_back(key + " = " + value + " is not pinned in " + NM_PINS);
       continue;
     }
     if (it->second != value) {
-      failures.push_back(key + " = " + value + ", but " + baseline + " pins " + it->second);
+      failures.push_back(key + " = " + value + ", but " + NM_PINS + " pins " + it->second);
     }
     pinned.erase(it);
   }
   for (const auto& [key, value] : pinned) {
-    failures.push_back(key + " = " + value + " is pinned in " + baseline + " but not emitted");
+    failures.push_back(key + " = " + value + " is pinned in " + NM_PINS + " but not emitted");
   }
 
   for (const std::string& f : failures) {
@@ -620,18 +421,19 @@ bool run_gate(const Gate& g) {
   }
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  std::cout << g.name << ": " << (failures.empty() ? "ok" : "FAILED") << ", "
-            << emitted.size() << " values vs " << baseline << " ("
-            << TextTable::num(wall_s, 1) << " s)" << std::endl;
+  std::cout << g.name << ": " << (failures.empty() ? "ok" : "FAILED") << ", " << g.keys.size()
+            << " values vs " << NM_PINS << " (" << TextTable::num(wall_s, 1) << " s)"
+            << std::endl;
   return failures.empty();
 }
 
 }  // namespace
 
 int main() {
+  const std::map<std::string, std::string> pins = scenarios::read_pins(NM_PINS);
   bool ok = true;
   for (const Gate& g : kGates) {
-    ok = run_gate(g) && ok;
+    ok = run_gate(g, pins) && ok;
   }
   return ok ? 0 : 1;
 }

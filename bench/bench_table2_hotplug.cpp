@@ -12,10 +12,7 @@
 #include <memory>
 
 #include "bench/common.h"
-#include "core/job.h"
-#include "core/ninja.h"
-#include "core/testbed.h"
-#include "workloads/memtest.h"
+#include "scenarios/paper.h"
 
 namespace {
 
@@ -29,45 +26,6 @@ struct Case {
   double paper_linkup;
 };
 
-core::NinjaStats run_case(const Case& c) {
-  core::Testbed tb;
-  core::JobConfig cfg;
-  cfg.name = "memtest";
-  cfg.vm_count = 8;
-  cfg.ranks_per_vm = 1;
-  cfg.on_ib_cluster = true;  // all 8 blades have both adapters
-  cfg.with_hca = c.src_ib;
-  core::MpiJob job(tb, cfg);
-  job.init();
-
-  workloads::MemtestConfig mcfg;
-  mcfg.array_size = Bytes::gib(2);
-  mcfg.passes = 400;  // keep the job alive across the episode
-  job.launch([&job, mcfg](mpi::RankId me) -> sim::Task {
-    co_await workloads::run_memtest_rank(job, me, mcfg, nullptr);
-  });
-
-  // Self-migration plan: each VM's destination is its current host.
-  core::MigrationPlan plan;
-  plan.vms = job.vms();
-  for (const auto& vm : plan.vms) {
-    plan.destinations.push_back(vm->host().name());
-  }
-  plan.ranks_per_vm = 1;
-  if (c.dst_ib) {
-    plan.attach_host_pci = core::Testbed::kHcaPciAddr;
-  }
-
-  core::NinjaStats stats;
-  tb.sim().spawn([](core::Testbed& t, core::MpiJob& j, core::MigrationPlan p,
-                    core::NinjaStats& st) -> sim::Task {
-    co_await t.sim().delay(Duration::seconds(2.0));
-    co_await j.ninja().execute(std::move(p), &st);
-  }(tb, job, plan, stats));
-  tb.sim().run_for(Duration::minutes(5));
-  return stats;
-}
-
 }  // namespace
 
 int main() {
@@ -79,16 +37,13 @@ int main() {
       {"Ethernet -> Infiniband", false, true, 1.15, 29.79},
       {"Ethernet -> Ethernet", false, false, 0.13, 0.00},
   };
-  const Duration confirm = symvirt::CoordinatorTiming{}.confirm;
-
   std::vector<bench::CompareRow> hotplug_rows;
   std::vector<bench::CompareRow> linkup_rows;
   for (const auto& c : cases) {
-    const auto stats = run_case(c);
-    hotplug_rows.push_back(
-        {c.label, c.paper_hotplug, stats.hotplug(confirm).to_seconds()});
-    linkup_rows.push_back(
-        {c.label, c.paper_linkup, stats.linkup_excl_confirm(confirm).to_seconds()});
+    scenarios::PaperRun run(scenarios::Table2{c.src_ib, c.dst_ib});
+    run.testbed().sim().run_for(Duration::minutes(5));
+    hotplug_rows.push_back({c.label, c.paper_hotplug, run.hotplug().to_seconds()});
+    linkup_rows.push_back({c.label, c.paper_linkup, run.linkup().to_seconds()});
   }
   std::cout << "\nHotplug time (detach + re-attach + confirm):\n";
   bench::print_compare("hotplug [s]", hotplug_rows);

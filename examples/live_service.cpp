@@ -15,23 +15,16 @@
 #include <iostream>
 #include <memory>
 #include <string>
-#include <vector>
 
-#include "core/service_episode.h"
-#include "core/testbed.h"
 #include "policy/policies.h"
+#include "scenarios/kv.h"
 #include "util/table.h"
-#include "workloads/kv_service.h"
 
 using namespace nm;
 
 namespace {
 
-constexpr int kServers = 4;
-constexpr int kFleets = 4;
-constexpr double kRatePerFleet = 2600.0;  // 4 x 2600 = 10,400 req/s offered
-constexpr Duration kWindow = Duration::seconds(10);
-constexpr Duration kMigrateAt = Duration::seconds(2);
+constexpr scenarios::KvShape kShape = scenarios::kLiveService;
 
 struct RunResult {
   std::int64_t episode_end_ns = 0;
@@ -43,74 +36,24 @@ struct RunResult {
   bool downtime_ok = false;
 };
 
+// eth0 is draining: its loaded server kv0 moves to the spare blade eth4
+// while the fleets keep hammering it. The default (static) PolicySet is the
+// historical behavior; the A/B variant throttles each pre-copy round
+// against the live pre-copy p99 fed back from the service.
 RunResult run_once(bool slo_throttle = false) {
-  core::TestbedConfig config;
-  // A second (empty) shard routes settling through the SolvePool's
-  // end-of-instant batch, the path bench_gate's `policies` row pins this
-  // scenario on. The legacy zero-delay settle path is equally
-  // deterministic but may order same-nanosecond completion vs. arrival
-  // events differently (see DESIGN.md §10).
-  config.fluid_shards = 2;
-  core::Testbed testbed(config);
-
-  workloads::KvServiceConfig svc;
-  svc.replicas = 2;
-  // 5,200 replica ops/s per server against an 8-worker pool: steady-state
-  // utilisation ~0.90 (capacity 8/1.38ms = 5,797 ops/s). Pre-copy burns up
-  // to ~2 source-host cores (dirty scan + the migration sender thread), so
-  // the migrating server's effective capacity drops below offered load and
-  // its open-loop backlog shows up in the pre-copy tail.
-  svc.service_core_seconds = 1.38e-3;
-  svc.worker_threads = 8;
-  // s = 0.99 would put ~8.5% of all traffic on one key and tip its server
-  // over 1.0 utilisation before the migration even starts; 0.7 keeps the
-  // per-server load balanced enough that steady state is actually steady.
-  svc.zipf_s = 0.7;
-  svc.deadline = Duration::millis(20);
-  svc.write_fraction = 0.4;
-  svc.value_bytes = Bytes::kib(8);  // ~17 MB/s of commit-log dirtying per server
-  workloads::KvService service(testbed, svc);
-
-  std::vector<std::shared_ptr<vmm::Vm>> vms;
-  for (int i = 0; i < kServers; ++i) {
-    vmm::VmSpec spec;
-    spec.name = "kv" + std::to_string(i);
-    // Small enough that a pre-copy round (full scan at 700 MiB/s + dirty
-    // send at 1.3 Gb/s) outruns the ~17 MB/s dirty rate and the downtime
-    // estimate converges below max_downtime *while under load*.
-    spec.memory = Bytes::mib(256);
-    spec.base_os_footprint = Bytes::mib(96);
-    vms.push_back(testbed.boot_vm(testbed.eth_host(i), spec, /*with_hca=*/false));
-    service.add_server(vms.back());
-  }
-  for (int i = 0; i < kFleets; ++i) {
-    workloads::ClientFleetConfig fleet;
-    fleet.name = "fleet" + std::to_string(i);
-    fleet.rate_per_sec = kRatePerFleet;
-    fleet.window = kWindow;
-    service.add_fleet(testbed.ib_host(i), fleet);
-  }
-  testbed.settle();
-
-  // eth0 is draining: move its loaded server to the spare blade eth4 while
-  // the fleets keep hammering it. The default (static) PolicySet is the
-  // historical behavior; the A/B variant throttles each pre-copy round
-  // against the live pre-copy p99 fed back from the service.
-  core::ServiceEpisode episode(testbed.sim());
-  service.observe_migration(&episode.live());
-  service.start();
-  core::EpisodeSpec spec(vms[0], testbed.eth_host(kServers));
-  spec.after(kMigrateAt).observe(service.observation_source());
+  scenarios::KvScenario kv(kShape);
+  core::EpisodeSpec spec = kv.episode_spec();
   if (slo_throttle) {
     policy::PolicySet policies;
     policies.use(policy::Hook::kPreCopyRound,
                  std::make_shared<policy::SloThrottlePolicy>());
-    spec.with(std::move(policies), config.seed);
+    spec.with(std::move(policies), kv.testbed().config().seed);
   }
-  (void)episode.start(std::move(spec));
+  kv.start(std::move(spec));
 
-  testbed.sim().run_for(kWindow + Duration::seconds(30));
+  kv.testbed().sim().run_for(kShape.window + Duration::seconds(30));
 
+  const workloads::KvService& service = kv.service();
   RunResult r;
   r.generated = service.generated();
   r.completed = service.completed();
@@ -118,11 +61,10 @@ RunResult run_once(bool slo_throttle = false) {
   for (int p = 0; p < vmm::kMigrationPhases; ++p) {
     r.phases[p] = service.phase(static_cast<vmm::MigrationPhase>(p));
   }
-  if (episode.done()) {
-    r.report = episode.report();
+  if (kv.episode().done()) {
+    r.report = kv.episode().report();
     r.episode_end_ns = r.report.end_at.count_nanos();
-    r.downtime_ok = episode.downtime_within(
-        testbed.eth_host(0).migration_engine().config().max_downtime);
+    r.downtime_ok = kv.downtime_ok();
   }
   return r;
 }
@@ -144,10 +86,10 @@ int main() {
     return 1;
   }
 
-  std::cout << "live_service: " << kServers << " KV servers, "
-            << static_cast<std::int64_t>(kFleets * kRatePerFleet)
-            << " req/s offered open-loop for " << kWindow << "; kv0 migrated off the\n"
-            << "draining host eth0 at t=" << kMigrateAt << " (pre-copy "
+  std::cout << "live_service: " << kShape.servers << " KV servers, "
+            << static_cast<std::int64_t>(kShape.servers * kShape.rate_per_fleet)
+            << " req/s offered open-loop for " << kShape.window << "; kv0 migrated off the\n"
+            << "draining host eth0 at t=" << kShape.migrate_at << " (pre-copy "
             << ms(base.report.precopy) << ", blackout " << ms(base.report.blackout)
             << ", total " << ms(base.report.total) << ")\n\n";
 

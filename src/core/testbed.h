@@ -45,8 +45,9 @@ struct TestbedConfig {
   /// Number of FluidDomain shards the testbed's FluidNet starts with. With
   /// blade_domains off the whole (fully connected) enclosure lands on
   /// domain 0 and the remaining shards are free for caller-built disjoint
-  /// zones. Timelines are bit-identical at every shard count
-  /// (sim_sharding_test pins this).
+  /// zones. Timelines are bit-identical at every count >= 2, which all
+  /// settle through the SolvePool; one shard settles by zero-delay posts
+  /// and can differ from them by a few ns (sim_sharding_test pins both).
   int fluid_shards = 1;
   /// Carve each blade — its CPU and its NIC ports — into its own fluid
   /// domain, bridged to the shared zone (fabrics + NFS storage stay on

@@ -3,13 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
-#include <string>
-#include <vector>
 
-#include "core/service_episode.h"
-#include "core/testbed.h"
-#include "workloads/kv_service.h"
+#include "scenarios/kv.h"
 
 namespace nm {
 namespace {
@@ -27,56 +22,21 @@ struct RunOutcome {
   workloads::PhaseSlo phases[vmm::kMigrationPhases];
 };
 
-constexpr int kServers = 2;
-constexpr double kRate = 400.0;  // per fleet; 2 fleets
-constexpr Duration kWindow = Duration::seconds(3);
-constexpr Duration kMigrateAt = Duration::millis(500);
-
 RunOutcome run_scenario(bool migrate, int fluid_shards = 1) {
-  core::TestbedConfig config;
-  config.fluid_shards = fluid_shards;
-  core::Testbed testbed(config);
-
-  workloads::KvServiceConfig svc;
-  svc.replicas = 2;
-  svc.zipf_s = 0.7;
-  svc.service_core_seconds = 1.0e-3;
-  svc.worker_threads = 4;
-  svc.deadline = Duration::millis(15);
-  svc.write_fraction = 0.25;
-  svc.value_bytes = Bytes::kib(8);
-  workloads::KvService service(testbed, svc);
-
-  std::vector<std::shared_ptr<vmm::Vm>> vms;
-  for (int i = 0; i < kServers; ++i) {
-    vmm::VmSpec spec;
-    spec.name = "kv" + std::to_string(i);
-    spec.memory = Bytes::mib(192);
-    spec.base_os_footprint = Bytes::mib(64);
-    vms.push_back(testbed.boot_vm(testbed.eth_host(i), spec, /*with_hca=*/false));
-    service.add_server(vms.back());
-  }
-  for (int i = 0; i < 2; ++i) {
-    workloads::ClientFleetConfig fleet;
-    fleet.name = "fleet" + std::to_string(i);
-    fleet.rate_per_sec = kRate;
-    fleet.window = kWindow;
-    service.add_fleet(testbed.ib_host(i), fleet);
-  }
-  testbed.settle();
-
-  core::ServiceEpisode episode(testbed.sim());
+  scenarios::KvScenario kv({.servers = 2,
+                            .profile = scenarios::KvProfile::kLight,
+                            .rate_per_fleet = 400.0,
+                            .window = Duration::seconds(3),
+                            .migrate_at = Duration::millis(500),
+                            .fluid_shards = fluid_shards});
   if (migrate) {
-    service.observe_migration(&episode.live());
+    kv.start(kv.episode_spec());
+  } else {
+    kv.service().start();
   }
-  service.start();
-  if (migrate) {
-    (void)episode.start(
-        core::EpisodeSpec(vms[0], testbed.eth_host(kServers)).after(kMigrateAt));
-  }
+  const TimePoint end = kv.testbed().sim().run_for(Duration::seconds(23));
 
-  const TimePoint end = testbed.sim().run_for(kWindow + Duration::seconds(20));
-
+  const workloads::KvService& service = kv.service();
   RunOutcome out;
   out.digest = service.digest();
   out.generated = service.generated();
@@ -84,12 +44,11 @@ RunOutcome run_scenario(bool migrate, int fluid_shards = 1) {
   out.in_flight = service.in_flight();
   out.misses = service.deadline_misses();
   out.final_ns = end.count_nanos();
-  if (migrate && episode.done()) {
-    const auto report = episode.report();
+  if (migrate && kv.episode().done()) {
+    const auto report = kv.episode().report();
     out.episode_end_ns = report.end_at.count_nanos();
     out.blackout = report.blackout;
-    out.downtime_ok = episode.downtime_within(
-        testbed.eth_host(0).migration_engine().config().max_downtime);
+    out.downtime_ok = kv.downtime_ok();
   }
   for (int p = 0; p < vmm::kMigrationPhases; ++p) {
     out.phases[p] = service.phase(static_cast<vmm::MigrationPhase>(p));

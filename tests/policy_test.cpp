@@ -10,10 +10,8 @@
 //     a mid-flight double start.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,8 +19,9 @@
 #include "core/service_episode.h"
 #include "core/testbed.h"
 #include "policy/policies.h"
+#include "scenarios/kv.h"
+#include "scenarios/pins.h"
 #include "util/error.h"
-#include "workloads/kv_service.h"
 
 namespace nm {
 namespace {
@@ -167,44 +166,13 @@ struct RunOutcome {
 };
 
 RunOutcome run_scenario(Variant variant) {
-  core::TestbedConfig config;
-  config.fluid_shards = 2;  // settle through the SolvePool (see DESIGN.md §10)
-  core::Testbed testbed(config);
-
-  workloads::KvServiceConfig svc;
-  svc.replicas = 2;
-  svc.zipf_s = 0.7;
-  svc.service_core_seconds = 1.0e-3;
-  svc.worker_threads = 4;
-  svc.deadline = Duration::millis(15);
-  svc.write_fraction = 0.25;
-  svc.value_bytes = Bytes::kib(8);
-  workloads::KvService service(testbed, svc);
-
-  std::vector<std::shared_ptr<vmm::Vm>> vms;
-  for (int i = 0; i < 2; ++i) {
-    vmm::VmSpec spec;
-    spec.name = "kv" + std::to_string(i);
-    spec.memory = Bytes::mib(192);
-    spec.base_os_footprint = Bytes::mib(64);
-    vms.push_back(testbed.boot_vm(testbed.eth_host(i), spec, /*with_hca=*/false));
-    service.add_server(vms.back());
-  }
-  for (int i = 0; i < 2; ++i) {
-    workloads::ClientFleetConfig fleet;
-    fleet.name = "fleet" + std::to_string(i);
-    fleet.rate_per_sec = 500.0;
-    fleet.window = Duration::seconds(2);
-    service.add_fleet(testbed.ib_host(i), fleet);
-  }
-  testbed.settle();
-
-  core::ServiceEpisode episode(testbed.sim());
-  service.observe_migration(&episode.live());
-  service.start();
-
-  core::EpisodeSpec spec(vms[0], testbed.eth_host(2));
-  spec.after(Duration::millis(300)).observe(service.observation_source());
+  scenarios::KvScenario kv({.servers = 2,
+                            .profile = scenarios::KvProfile::kLight,
+                            .rate_per_fleet = 500.0,
+                            .window = Duration::seconds(2),
+                            .migrate_at = Duration::millis(300)});
+  const std::uint64_t seed = kv.testbed().config().seed;
+  core::EpisodeSpec spec = kv.episode_spec();
   policy::PolicySet policies;
   switch (variant) {
     case Variant::kStatic:
@@ -219,7 +187,7 @@ RunOutcome run_scenario(Variant variant) {
                    std::make_shared<policy::QuietPausePolicy>());
       break;
     case Variant::kDestSwap:
-      spec.or_to(testbed.eth_host(3));
+      spec.or_to(kv.testbed().eth_host(3));
       policies.use(policy::Hook::kEpisodeStart,
                    std::make_shared<policy::DestinationSwapPolicy>());
       break;
@@ -227,25 +195,26 @@ RunOutcome run_scenario(Variant variant) {
       policy::PolicySet admission;
       admission.use(policy::Hook::kAdmission,
                     std::make_shared<policy::BlackoutShedPolicy>());
-      service.set_admission(std::move(admission), config.seed);
+      kv.service().set_admission(std::move(admission), seed);
       break;
     }
     default:
       break;
   }
-  spec.with(std::move(policies), config.seed);
-  (void)episode.start(std::move(spec));
+  spec.with(std::move(policies), seed);
+  kv.start(std::move(spec));
 
-  testbed.sim().run_for(Duration::seconds(20));
+  kv.testbed().sim().run_for(Duration::seconds(20));
 
+  const workloads::KvService& service = kv.service();
   RunOutcome out;
   out.digest = service.digest();
   out.generated = service.generated();
   out.completed = service.completed();
   out.rejected = service.rejected();
   out.misses = service.deadline_misses();
-  if (episode.done()) {
-    const auto report = episode.report();
+  if (kv.episode().done()) {
+    const auto report = kv.episode().report();
     out.episode_end_ns = report.end_at.count_nanos();
     out.blackout_ns = report.blackout.count_nanos();
     out.precopy_ns = report.precopy.count_nanos();
@@ -254,21 +223,19 @@ RunOutcome run_scenario(Variant variant) {
 }
 
 // Captured with the pre-refactor ServiceEpisode::start(vm, dst, delay) on
-// the commit before the policy framework landed.
-constexpr std::uint64_t kGoldenDigest = 6056993532529786261ull;
-constexpr std::int64_t kGoldenEndNs = 33127233576;
-constexpr std::uint64_t kGoldenGenerated = 2002;
-constexpr std::uint64_t kGoldenMisses = 0;
-constexpr std::int64_t kGoldenBlackoutNs = 11069196;
-constexpr std::int64_t kGoldenPrecopyNs = 896164380;
+// the commit before the policy framework landed; pinned in bench/pins.json.
+template <class T>
+T golden(const std::string& output) {
+  return scenarios::pin<T>(NM_PINS, "policy_golden." + output);
+}
 
 void expect_golden(const RunOutcome& out, const std::string& label) {
-  EXPECT_EQ(out.digest, kGoldenDigest) << label;
-  EXPECT_EQ(out.episode_end_ns, kGoldenEndNs) << label;
-  EXPECT_EQ(out.generated, kGoldenGenerated) << label;
-  EXPECT_EQ(out.misses, kGoldenMisses) << label;
-  EXPECT_EQ(out.blackout_ns, kGoldenBlackoutNs) << label;
-  EXPECT_EQ(out.precopy_ns, kGoldenPrecopyNs) << label;
+  EXPECT_EQ(out.digest, golden<std::uint64_t>("digest")) << label;
+  EXPECT_EQ(out.episode_end_ns, golden<std::int64_t>("episode_end_ns")) << label;
+  EXPECT_EQ(out.generated, golden<std::uint64_t>("generated")) << label;
+  EXPECT_EQ(out.misses, golden<std::uint64_t>("misses")) << label;
+  EXPECT_EQ(out.blackout_ns, golden<std::int64_t>("blackout_ns")) << label;
+  EXPECT_EQ(out.precopy_ns, golden<std::int64_t>("precopy_ns")) << label;
 }
 
 TEST(PolicyGolden, DefaultPolicySetReproducesPreRefactorTimeline) {
@@ -279,43 +246,23 @@ TEST(PolicyGolden, ExplicitStaticPolicyReproducesPreRefactorTimeline) {
   expect_golden(run_scenario(Variant::kStatic), "explicit StaticPolicy");
 }
 
-/// One shipped policy's pinned timeline outputs.
-struct PolicyPin {
-  Variant variant;
-  std::uint64_t digest;
-  std::int64_t episode_end_ns;
-  std::uint64_t generated;
-  std::uint64_t rejected;
-  std::uint64_t misses;
-};
-
-constexpr PolicyPin kPolicyPins[] = {
-    {Variant::kStatic, kGoldenDigest, kGoldenEndNs, kGoldenGenerated, 0, kGoldenMisses},
-    // At this load the throttle, the pause and the swap leave every pinned
-    // output equal to the static run's.
-    {Variant::kSloThrottle, kGoldenDigest, kGoldenEndNs, kGoldenGenerated, 0, kGoldenMisses},
-    {Variant::kQuietPause, kGoldenDigest, kGoldenEndNs, kGoldenGenerated, 0, kGoldenMisses},
-    {Variant::kDestSwap, kGoldenDigest, kGoldenEndNs, kGoldenGenerated, 0, kGoldenMisses},
-    {Variant::kBlackoutShed, 377980942831353068ull, kGoldenEndNs, kGoldenGenerated, 7,
-     kGoldenMisses},
-};
-
 class PolicyDeterminism : public ::testing::TestWithParam<Variant> {};
 
-// The name predates the removal of the solve worker threads.
+// The name predates the removal of the solve worker threads. At this load
+// the throttle, the pause and the swap leave every pinned output equal to
+// the static run's; the shedding policy rejects a few requests, which moves
+// the digest.
 TEST_P(PolicyDeterminism, TimelineBitIdenticalAcrossSolveWorkers) {
   const Variant variant = GetParam();
   const RunOutcome out = run_scenario(variant);
   ASSERT_GT(out.episode_end_ns, 0) << "episode did not complete";
   EXPECT_EQ(out.completed + out.rejected, out.generated);
-  const auto* pin = std::find_if(std::begin(kPolicyPins), std::end(kPolicyPins),
-                                 [variant](const PolicyPin& p) { return p.variant == variant; });
-  ASSERT_NE(pin, std::end(kPolicyPins));
-  EXPECT_EQ(out.digest, pin->digest);
-  EXPECT_EQ(out.episode_end_ns, pin->episode_end_ns);
-  EXPECT_EQ(out.generated, pin->generated);
-  EXPECT_EQ(out.rejected, pin->rejected);
-  EXPECT_EQ(out.misses, pin->misses);
+  const bool shed = variant == Variant::kBlackoutShed;
+  EXPECT_EQ(out.digest, golden<std::uint64_t>(shed ? "blackout_shed_digest" : "digest"));
+  EXPECT_EQ(out.episode_end_ns, golden<std::int64_t>("episode_end_ns"));
+  EXPECT_EQ(out.generated, golden<std::uint64_t>("generated"));
+  EXPECT_EQ(out.rejected, shed ? golden<std::uint64_t>("blackout_shed_rejected") : 0u);
+  EXPECT_EQ(out.misses, golden<std::uint64_t>("misses"));
 }
 
 INSTANTIATE_TEST_SUITE_P(ShippedPolicies, PolicyDeterminism,
@@ -351,61 +298,27 @@ struct SloOutcome {
 };
 
 SloOutcome run_loaded(bool throttle) {
-  core::TestbedConfig config;
-  config.fluid_shards = 2;
-  core::Testbed testbed(config);
-
-  workloads::KvServiceConfig svc;
-  svc.replicas = 2;
-  svc.zipf_s = 0.7;
-  svc.service_core_seconds = 1.38e-3;
-  svc.worker_threads = 8;
-  svc.deadline = Duration::millis(20);
-  svc.write_fraction = 0.4;
-  svc.value_bytes = Bytes::kib(8);
-  workloads::KvService service(testbed, svc);
-
-  std::vector<std::shared_ptr<vmm::Vm>> vms;
-  for (int i = 0; i < 2; ++i) {
-    vmm::VmSpec spec;
-    spec.name = "kv" + std::to_string(i);
-    spec.memory = Bytes::mib(256);
-    spec.base_os_footprint = Bytes::mib(96);
-    vms.push_back(testbed.boot_vm(testbed.eth_host(i), spec, /*with_hca=*/false));
-    service.add_server(vms.back());
-  }
-  for (int i = 0; i < 2; ++i) {
-    workloads::ClientFleetConfig fleet;
-    fleet.name = "fleet" + std::to_string(i);
-    fleet.rate_per_sec = 2600.0;  // ~0.9 per-server utilisation
-    fleet.window = Duration::seconds(3);
-    service.add_fleet(testbed.ib_host(i), fleet);
-  }
-  testbed.settle();
-
-  core::ServiceEpisode episode(testbed.sim());
-  service.observe_migration(&episode.live());
-  service.start();
-  core::EpisodeSpec spec(vms[0], testbed.eth_host(2));
-  spec.after(Duration::seconds(1)).observe(service.observation_source());
+  scenarios::KvScenario kv({.servers = 2,
+                            .profile = scenarios::KvProfile::kHeavy,
+                            .rate_per_fleet = 2600.0,
+                            .window = Duration::seconds(3),
+                            .migrate_at = Duration::seconds(1)});
+  core::EpisodeSpec spec = kv.episode_spec();
   if (throttle) {
     policy::PolicySet policies;
     policies.use(policy::Hook::kPreCopyRound,
                  std::make_shared<policy::SloThrottlePolicy>());
-    spec.with(std::move(policies), config.seed);
+    spec.with(std::move(policies), kv.testbed().config().seed);
   }
-  (void)episode.start(std::move(spec));
-  testbed.sim().run_for(Duration::seconds(30));
+  kv.start(std::move(spec));
+  kv.testbed().sim().run_for(Duration::seconds(30));
 
   SloOutcome out;
-  out.generated = service.generated();
-  out.completed = service.completed();
-  out.episode_done = episode.done();
-  if (out.episode_done) {
-    out.downtime_ok = episode.downtime_within(
-        testbed.eth_host(0).migration_engine().config().max_downtime);
-  }
-  const auto& precopy = service.phase(vmm::MigrationPhase::kPreCopy);
+  out.generated = kv.service().generated();
+  out.completed = kv.service().completed();
+  out.episode_done = kv.episode().done();
+  out.downtime_ok = kv.downtime_ok();
+  const auto& precopy = kv.service().phase(vmm::MigrationPhase::kPreCopy);
   out.precopy_requests = precopy.requests;
   if (precopy.latency.count() > 0) {
     out.precopy_p99 = precopy.latency.percentile(0.99);

@@ -1,14 +1,17 @@
-// Sharding invariance: a testbed built over N FluidDomain shards must
-// produce a timeline *bit-identical* to the 1-shard build. Domains solve
-// independently and their timers merge through the one deterministic
-// (time, sequence) event queue, so any topology-valid partitioning — one
-// where no flow ever crosses domains — is exact, not approximate. These
-// tests pin that invariant for (a) the full fallback+recovery Ninja
-// episode at shard counts 1/2/4 (the ninja_integration_test invariants
-// re-checked per count), (b) hand-built disjoint zones split across two
-// domains vs merged onto one scheduler, with and without the SolvePool's
-// end-of-instant batch, and (c) blade domains bridged by boundary flows
-// vs the merged enclosure. The 1-shard episode itself is pinned by value.
+// Sharding invariance: domains solve independently and their timers merge
+// through the one deterministic (time, sequence) event queue, so any
+// topology-valid partitioning — one where no flow ever crosses domains — is
+// exact, not approximate, among partitionings that settle the same way.
+// One shard settles by the scheduler's zero-delay posts and two or more by
+// the SolvePool's end-of-instant batch; those two paths can land a few ns
+// apart. These tests pin (a) the fallback+recovery Ninja episode at shard
+// counts 1/2/4 with a 2 s trigger (the ninja_integration_test invariants
+// re-checked per count; the 16-iteration job ends first, so no VM moves),
+// and with a 0.3 s trigger, where both episodes run, at 2/4 shards and
+// blade domains, (b) hand-built disjoint zones split across two domains vs
+// merged onto one scheduler, with and without the SolvePool's end-of-instant
+// batch, and (c) blade domains bridged by boundary flows vs the merged
+// enclosure. The 1-shard episode itself is pinned by value.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -42,9 +45,13 @@ struct EpisodeTrace {
   std::string transport;
   bool back_on_ib = false;
   bool hca_in_use = false;
+  std::size_t unconverged = 0;
 };
 
-EpisodeTrace run_fallback_recovery(int fluid_shards, bool blade_domains = false) {
+/// A 16-iteration bcast/reduce/barrier job with a fallback episode
+/// `trigger` after launch and a recovery episode `trigger` after that.
+EpisodeTrace run_fallback_recovery(int fluid_shards, bool blade_domains = false,
+                                   Duration trigger = Duration::seconds(2.0)) {
   TestbedConfig tcfg;
   tcfg.fluid_shards = fluid_shards;
   tcfg.blade_domains = blade_domains;
@@ -73,12 +80,13 @@ EpisodeTrace run_fallback_recovery(int fluid_shards, bool blade_domains = false)
 
   NinjaStats fallback;
   NinjaStats recovery;
-  sim.spawn([](Testbed& t, MpiJob& j, NinjaStats& fb, NinjaStats& rc) -> sim::Task {
-    co_await t.sim().delay(Duration::seconds(2.0));
+  sim.spawn([](Testbed& t, MpiJob& j, Duration after, NinjaStats& fb,
+               NinjaStats& rc) -> sim::Task {
+    co_await t.sim().delay(after);
     co_await j.fallback_migration(2, &fb);
-    co_await t.sim().delay(Duration::seconds(2.0));
+    co_await t.sim().delay(after);
     co_await j.recovery_migration(2, &rc);
-  }(tb, job, fallback, recovery));
+  }(tb, job, trigger, fallback, recovery));
   sim.run();
 
   trace.fallback_detach_ns = fallback.detach.count_nanos();
@@ -93,6 +101,7 @@ EpisodeTrace run_fallback_recovery(int fluid_shards, bool blade_domains = false)
   trace.back_on_ib = tb.ib_host(0).resident(*job.vms()[0]) &&
                      tb.ib_host(1).resident(*job.vms()[1]);
   trace.hca_in_use = !tb.ib_host(0).hca_available(Testbed::kHcaPciAddr);
+  trace.unconverged = tb.net().unconverged_exchange_count();
   return trace;
 }
 
@@ -178,6 +187,35 @@ EpisodeTrace pinned_fallback_recovery() {
 // counts are covered by FallbackRecoveryTimelineBitIdenticalAcrossShardCounts.
 TEST(Sharding, ParallelSolveMatrixBitIdenticalToSingleThread) {
   expect_traces_identical(run_fallback_recovery(1), pinned_fallback_recovery(), "1 shard");
+}
+
+// Triggered 0.3 s into the job, both episodes run while it iterates: the
+// fallback detaches the HCAs and moves both VMs to Ethernet, the recovery
+// moves them back and re-attaches. Every partitioning that settles through
+// the SolvePool's end-of-instant batch (2 shards, 4 shards, blade domains)
+// replays this bit for bit. One shard settles by zero-delay posts instead
+// and lands 1-2 ns away, so it is left out until one settle path remains
+// (ROADMAP item 3).
+TEST(Sharding, MidJobEpisodesBitIdenticalOnPooledSettlePath) {
+  const Duration trigger = Duration::millis(300);
+  const EpisodeTrace base = run_fallback_recovery(2, /*blade_domains=*/false, trigger);
+  EXPECT_EQ(base.transport, "openib");
+  EXPECT_TRUE(base.back_on_ib);
+  EXPECT_TRUE(base.hca_in_use);
+  // Every episode window ran (each duration > 0), pinned to the ns.
+  EXPECT_EQ(base.fallback_detach_ns, 2'670'000'000);
+  EXPECT_EQ(base.fallback_migration_ns, 18'625'995'936);
+  EXPECT_EQ(base.fallback_total_ns, 21'441'421'601);
+  EXPECT_EQ(base.recovery_attach_ns, 1'020'000'000);
+  EXPECT_EQ(base.recovery_linkup_ns, 29'930'000'000);
+  EXPECT_EQ(base.recovery_total_ns, 49'814'205'114);
+  EXPECT_EQ(base.final_time_ns, 104'869'549'215);
+  EXPECT_EQ(base.unconverged, 0u);
+  expect_traces_identical(run_fallback_recovery(4, /*blade_domains=*/false, trigger), base,
+                          "4 shards");
+  const EpisodeTrace blades = run_fallback_recovery(1, /*blade_domains=*/true, trigger);
+  expect_traces_identical(blades, base, "blade domains");
+  EXPECT_EQ(blades.unconverged, 0u);
 }
 
 // --- Disjoint zones genuinely split across domains ---------------------------

@@ -4,17 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <iterator>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/job.h"
-#include "core/ninja.h"
 #include "core/testbed.h"
+#include "scenarios/evacuation.h"
+#include "scenarios/paper.h"
+#include "scenarios/pins.h"
 #include "sim/fluid.h"
-#include "symvirt/coordinator.h"
 #include "workloads/bcast_reduce.h"
-#include "workloads/memtest.h"
 #include "workloads/npb.h"
 
 namespace nm::core {
@@ -198,210 +198,88 @@ TEST(Utilization, ConsumedReadsDoNotPerturbTimeline) {
 }
 
 // --- Bit-identity digests pinned against the seed ----------------------------
-// These replicate the bench_table2_hotplug and bench_fig6_memtest scenarios
-// and pin their phase durations to the exact nanosecond values the seed
-// build produced. Any change that moves Table II / Fig 6 output by even a
-// bit — event reordering, float summation order, timer jitter — fails here
-// inside ctest, without running the bench binaries.
+// These run the catalogue's paper scenarios (the ones bench_table2_hotplug,
+// bench_fig6_memtest and bench_fig7_npb print) and the planner mode of
+// examples/mass_evacuation, and compare their outputs with bench/pins.json
+// to the exact nanosecond. Any change that moves them by even a bit —
+// event reordering, float summation order, timer jitter — fails here inside
+// ctest, without running the bench binaries.
 
-struct Table2Digest {
-  std::int64_t hotplug_ns;
-  std::int64_t linkup_ns;
-};
-
-Table2Digest run_table2_case(bool src_ib, bool dst_ib) {
-  Testbed tb;
-  JobConfig cfg;
-  cfg.name = "memtest";
-  cfg.vm_count = 8;
-  cfg.ranks_per_vm = 1;
-  cfg.on_ib_cluster = true;
-  cfg.with_hca = src_ib;
-  MpiJob job(tb, cfg);
-  job.init();
-
-  workloads::MemtestConfig mcfg;
-  mcfg.array_size = Bytes::gib(2);
-  mcfg.passes = 400;
-  job.launch([&job, mcfg](mpi::RankId me) -> sim::Task {
-    co_await workloads::run_memtest_rank(job, me, mcfg, nullptr);
-  });
-
-  MigrationPlan plan;
-  plan.vms = job.vms();
-  for (const auto& vm : plan.vms) {
-    plan.destinations.push_back(vm->host().name());
-  }
-  plan.ranks_per_vm = 1;
-  if (dst_ib) {
-    plan.attach_host_pci = Testbed::kHcaPciAddr;
-  }
-
-  NinjaStats stats;
-  tb.sim().spawn([](Testbed& t, MpiJob& j, MigrationPlan p, NinjaStats& st) -> sim::Task {
-    co_await t.sim().delay(Duration::seconds(2.0));
-    co_await j.ninja().execute(std::move(p), &st);
-  }(tb, job, plan, stats));
-  tb.sim().run_for(Duration::minutes(5));
-
-  const Duration confirm = symvirt::CoordinatorTiming{}.confirm;
-  return Table2Digest{stats.hotplug(confirm).count_nanos(),
-                      stats.linkup_excl_confirm(confirm).count_nanos()};
-}
+std::int64_t pinned(const std::string& key) { return scenarios::pin<std::int64_t>(NM_PINS, key); }
 
 TEST(Determinism, Table2HotplugDigestPinnedToSeed) {
   struct Case {
     bool src_ib, dst_ib;
-    Table2Digest seed;
+    const char* key;
   };
   const Case cases[] = {
-      {true, true, {3820000000, 29800000000}},   // IB  -> IB
-      {true, false, {2800000000, 0}},            // IB  -> Eth
-      {false, true, {1150000000, 29800000000}},  // Eth -> IB
-      {false, false, {130000000, 0}},            // Eth -> Eth
+      {true, true, "table2.ib_ib"},
+      {true, false, "table2.ib_eth"},
+      {false, true, "table2.eth_ib"},
+      {false, false, "table2.eth_eth"},
   };
   for (const auto& c : cases) {
-    const auto got = run_table2_case(c.src_ib, c.dst_ib);
-    EXPECT_EQ(got.hotplug_ns, c.seed.hotplug_ns)
-        << "Table II hotplug drifted from the seed: src_ib=" << c.src_ib
-        << " dst_ib=" << c.dst_ib;
-    EXPECT_EQ(got.linkup_ns, c.seed.linkup_ns)
-        << "Table II link-up drifted from the seed: src_ib=" << c.src_ib
-        << " dst_ib=" << c.dst_ib;
+    scenarios::PaperRun run(scenarios::Table2{c.src_ib, c.dst_ib});
+    run.testbed().sim().run_for(Duration::minutes(5));
+    const std::string key = c.key;
+    EXPECT_EQ(run.hotplug().count_nanos(), pinned(key + ".hotplug_ns"))
+        << "Table II hotplug drifted from the seed: " << key;
+    EXPECT_EQ(run.linkup().count_nanos(), pinned(key + ".linkup_ns"))
+        << "Table II link-up drifted from the seed: " << key;
   }
-}
-
-struct Fig6Digest {
-  std::int64_t migration_ns;
-  std::int64_t hotplug_ns;
-  std::int64_t linkup_ns;
-};
-
-Fig6Digest run_fig6_case(Bytes array_size) {
-  TestbedConfig tcfg;
-  tcfg.hotplug.noise_factor = 3.0;
-  Testbed tb(tcfg);
-  JobConfig cfg;
-  cfg.name = "memtest";
-  cfg.vm_count = 8;
-  cfg.ranks_per_vm = 1;
-  MpiJob job(tb, cfg);
-  job.init();
-
-  workloads::MemtestConfig mcfg;
-  mcfg.array_size = array_size;
-  mcfg.passes = 1000;
-  job.launch([&job, mcfg](mpi::RankId me) -> sim::Task {
-    co_await workloads::run_memtest_rank(job, me, mcfg, nullptr);
-  });
-
-  MigrationPlan plan;
-  plan.vms = job.vms();
-  for (int i = 0; i < 8; ++i) {
-    plan.destinations.push_back(tb.ib_host((i + 1) % 8).name());
-  }
-  plan.attach_host_pci = Testbed::kHcaPciAddr;
-  plan.ranks_per_vm = 1;
-
-  NinjaStats stats;
-  tb.sim().spawn([](Testbed& t, MpiJob& j, MigrationPlan p, NinjaStats& st) -> sim::Task {
-    co_await t.sim().delay(Duration::seconds(5.0));
-    co_await j.ninja().execute(std::move(p), &st);
-  }(tb, job, plan, stats));
-  tb.sim().run_for(Duration::minutes(10));
-
-  const Duration confirm = symvirt::CoordinatorTiming{}.confirm;
-  return Fig6Digest{stats.migration.count_nanos(), stats.hotplug(confirm).count_nanos(),
-                    stats.linkup_excl_confirm(confirm).count_nanos()};
 }
 
 TEST(Determinism, Fig6MemtestDigestPinnedToSeed) {
-  struct Case {
-    Bytes array;
-    Fig6Digest seed;
-  };
   // Migration is dominated by traversing all 20 GiB of (compressible)
   // guest memory, so the digest is identical across array sizes — itself a
   // pinned property of the model.
-  const Case cases[] = {
-      {Bytes::gib(2), {39658961047, 11200000000, 29800000000}},
-      {Bytes::gib(16), {39658961047, 11200000000, 29800000000}},
-  };
-  for (const auto& c : cases) {
-    const auto got = run_fig6_case(c.array);
-    EXPECT_EQ(got.migration_ns, c.seed.migration_ns)
-        << "Fig 6 migration drifted from the seed: array=" << c.array.count();
-    EXPECT_EQ(got.hotplug_ns, c.seed.hotplug_ns)
-        << "Fig 6 hotplug drifted from the seed: array=" << c.array.count();
-    EXPECT_EQ(got.linkup_ns, c.seed.linkup_ns)
-        << "Fig 6 link-up drifted from the seed: array=" << c.array.count();
+  for (const int gib : {2, 16}) {
+    scenarios::PaperRun run(scenarios::Fig6{Bytes::gib(gib)});
+    run.testbed().sim().run_for(Duration::minutes(10));
+    const std::string key = "fig6." + std::to_string(gib) + "gib";
+    EXPECT_EQ(run.ninja().migration.count_nanos(), pinned(key + ".migration_ns"))
+        << "Fig 6 migration drifted from the seed: " << key;
+    EXPECT_EQ(run.hotplug().count_nanos(), pinned(key + ".hotplug_ns"))
+        << "Fig 6 hotplug drifted from the seed: " << key;
+    EXPECT_EQ(run.linkup().count_nanos(), pinned(key + ".linkup_ns"))
+        << "Fig 6 link-up drifted from the seed: " << key;
   }
 }
 
-// Replicates bench_fig7_npb's "proposed" run: one IB -> IB Ninja migration
-// with HCA re-attach issued 3 min into each class-D kernel on 8 VMs x 8
-// ranks, run to quiescence. The bench prints two decimals; this pins rank
-// 0's elapsed time and the Ninja episode total to the nanosecond, at the
-// values perfbench's npb_ninja_episode workload checks at seed 1.
-struct Fig7Digest {
-  std::int64_t elapsed_ns;
-  std::int64_t episode_ns;
-};
-
-Fig7Digest run_fig7_case(const workloads::NpbSpec& spec) {
-  TestbedConfig tcfg;
-  tcfg.hotplug.noise_factor = 3.0;
-  Testbed tb(tcfg);
-  JobConfig cfg;
-  cfg.name = spec.name;
-  cfg.vm_count = 8;
-  cfg.ranks_per_vm = 8;
-  MpiJob job(tb, cfg);
-  job.init();
-
-  workloads::NpbResult r0;
-  job.launch([&job, spec, &r0](mpi::RankId me) -> sim::Task {
-    co_await workloads::run_npb_rank(job, me, spec, me == 0 ? &r0 : nullptr);
-  });
-
-  MigrationPlan plan;
-  plan.vms = job.vms();
-  for (int i = 0; i < 8; ++i) {
-    plan.destinations.push_back(tb.ib_host((i + 1) % 8).name());
-  }
-  plan.attach_host_pci = Testbed::kHcaPciAddr;
-  plan.ranks_per_vm = 8;
-
-  NinjaStats stats;
-  tb.sim().spawn([](Testbed& t, MpiJob& j, MigrationPlan p, NinjaStats& st) -> sim::Task {
-    co_await t.sim().delay(Duration::minutes(3));
-    co_await j.ninja().execute(std::move(p), &st);
-  }(tb, job, plan, stats));
-  tb.sim().run();
-  return Fig7Digest{r0.elapsed.count_nanos(), stats.total.count_nanos()};
-}
-
+// bench_fig7_npb's "proposed" run, to quiescence. The bench prints two
+// decimals; this pins rank 0's elapsed time and the Ninja episode total to
+// the nanosecond, at the values perfbench's npb_ninja_episode workload
+// checks at seed 1.
 TEST(Determinism, Fig7NpbPinnedToSeed) {
-  struct Case {
-    const char* kernel;
-    Fig7Digest seed;
-  };
-  const Case cases[] = {
-      {"BT", {977821304985, 114252328262}},
-      {"CG", {819783924231, 97186063008}},
-      {"FT", {730750173588, 187232931799}},
-      {"LU", {886523720058, 105470584282}},
-  };
-  const auto suite = workloads::npb_class_d_suite();
-  ASSERT_EQ(suite.size(), std::size(cases));
-  for (std::size_t k = 0; k < suite.size(); ++k) {
-    ASSERT_EQ(suite[k].name, cases[k].kernel);
-    const Fig7Digest got = run_fig7_case(suite[k]);
-    EXPECT_EQ(got.elapsed_ns, cases[k].seed.elapsed_ns)
-        << "Fig 7 rank-0 elapsed drifted from the seed: " << suite[k].name;
-    EXPECT_EQ(got.episode_ns, cases[k].seed.episode_ns)
-        << "Fig 7 Ninja total drifted from the seed: " << suite[k].name;
+  for (const workloads::NpbSpec& spec : workloads::npb_class_d_suite()) {
+    scenarios::PaperRun run(scenarios::Fig7{spec, /*with_migration=*/true});
+    run.testbed().sim().run();
+    const std::string key = "npb.seed1." + spec.name;
+    EXPECT_EQ(run.npb().elapsed.count_nanos(), pinned(key + ".elapsed_ns"))
+        << "Fig 7 rank-0 elapsed drifted from the seed: " << spec.name;
+    EXPECT_EQ(run.ninja().total.count_nanos(), pinned(key + ".episode_ns"))
+        << "Fig 7 Ninja total drifted from the seed: " << spec.name;
   }
+}
+
+// examples/mass_evacuation's planner mode: 1000 VMs off dc0 of the metro
+// mesh, every VM dirtying its hot regions. Federation seed, stagger and
+// hot-region rotation are those of perfbench's mesh_evacuation at seed 1.
+TEST(Determinism, MeshEvacuationPinnedToSeed) {
+  Federation fed(scenarios::metro_mesh(50, 16));
+  scenarios::Drain drain(fed,
+                         {.vms_per_host = 20,
+                          .memory = Bytes::gib(2),
+                          .data = Bytes::mib(256),
+                          .hot_regions = true},
+                         EvacuationConfig{});
+  fed.sim().run();
+  const EvacuationReport& report = drain.report();
+  ASSERT_TRUE(drain.done());
+  EXPECT_EQ(static_cast<std::int64_t>(report.evacuated), pinned("evac.seed1.evacuated"));
+  EXPECT_EQ(report.waves, pinned("evac.seed1.waves"));
+  EXPECT_EQ(report.makespan().count_nanos(), pinned("evac.seed1.makespan_ns"));
+  EXPECT_EQ(drain.counters().at("net.unconverged"), 0u);
 }
 
 }  // namespace

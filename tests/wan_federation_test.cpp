@@ -30,6 +30,7 @@
 
 #include "core/evacuation_driver.h"
 #include "core/federation.h"
+#include "scenarios/evacuation.h"
 #include "sim/fluid.h"
 #include "sim/fluid_net.h"
 #include "sim/simulation.h"
@@ -899,25 +900,13 @@ struct EvacTimeline {
 
 EvacTimeline run_mesh_evacuation(bool sequential) {
   Federation fed(evac_mesh());
-  for (int h = 0; h < fed.site(0).eth_host_count(); ++h) {
-    for (int v = 0; v < 3; ++v) {
-      vmm::VmSpec spec;
-      spec.name = "vm-" + std::to_string(h) + "-" + std::to_string(v);
-      spec.memory = Bytes::gib(1);
-      spec.base_os_footprint = Bytes::mib(128);
-      auto vm = fed.site(0).boot_vm(fed.site(0).eth_host(h), spec, /*with_hca=*/false);
-      vm->memory().write_data(Bytes::mib(128), Bytes::mib(96));
-    }
-  }
-  fed.settle();
-
   EvacuationConfig ecfg;
   ecfg.sequential = sequential;
-  MassEvacuation evac(fed, ecfg);
-  EvacuationReport report;
-  fed.sim().spawn(evac.run(&report), "evacuation");
+  scenarios::Drain drain(
+      fed, {.vms_per_host = 3, .memory = Bytes::gib(1), .data = Bytes::mib(96)}, std::move(ecfg));
   EvacTimeline tl;
   tl.final_ns = fed.sim().run().count_nanos();
+  const EvacuationReport& report = drain.report();
   tl.makespan_ns = report.makespan().count_nanos();
   tl.waves = report.waves;
   tl.evacuated = report.evacuated;
@@ -928,7 +917,7 @@ EvacTimeline run_mesh_evacuation(bool sequential) {
     tl.hosts.push_back(vm.dst_host);
   }
   EXPECT_EQ(report.evacuated, report.vms.size()) << "sequential=" << sequential;
-  EXPECT_EQ(fed.unconverged_exchange_count(), 0u) << "sequential=" << sequential;
+  EXPECT_EQ(drain.counters().at("net.unconverged"), 0u) << "sequential=" << sequential;
   return tl;
 }
 
