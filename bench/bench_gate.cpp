@@ -108,14 +108,18 @@ sim::Task evacuate_vm(vmm::Vm& vm, vmm::Host& dst) {
 }
 
 Metrics federated_evacuation() {
+  core::TestbedConfig source;
+  source.ib_nodes = 0;
+  source.eth_nodes = 4;
+  core::TestbedConfig refuge = source;
+  refuge.eth_nodes = 2;
+  sim::WanLinkConfig wan;
+  wan.line_rate = Bandwidth::gbps(1);  // the paper's continental target
+  wan.rtt = Duration::millis(50);
+  wan.loss = 0.001;
   core::FederationConfig fcfg;
-  fcfg.site_a.ib_nodes = 0;
-  fcfg.site_a.eth_nodes = 4;
-  fcfg.site_b.ib_nodes = 0;
-  fcfg.site_b.eth_nodes = 2;
-  fcfg.wan.line_rate = Bandwidth::gbps(1);    // the paper's continental target
-  fcfg.wan.rtt = Duration::millis(50);
-  fcfg.wan.loss = 0.001;
+  fcfg.sites = {{"a", source}, {"b", refuge}};
+  fcfg.edges = {{0, 1, wan}};
   core::Federation fed(fcfg);
 
   std::vector<std::shared_ptr<vmm::Vm>> vms;
@@ -124,7 +128,7 @@ Metrics federated_evacuation() {
     spec.name = "vm" + std::to_string(i);
     spec.memory = Bytes::gib(2);
     spec.base_os_footprint = Bytes::mib(256);
-    auto vm = fed.site_a().boot_vm(fed.site_a().eth_host(i), spec, /*with_hca=*/false);
+    auto vm = fed.site(0).boot_vm(fed.site(0).eth_host(i), spec, /*with_hca=*/false);
     vm->memory().write_data(Bytes::zero(), Bytes::mib(512));
     vms.push_back(std::move(vm));
   }
@@ -184,7 +188,6 @@ Metrics clos_evacuation(bool topology_blind) {
   core::Federation fed(scenarios::clos_mesh(4));
   core::EvacuationConfig ecfg;
   ecfg.topology_blind = topology_blind;
-  ecfg.planner.stream_rate_cap = scenarios::kClosStreamRate;
   return run_drain(fed, {.vms_per_host = 2, .memory = Bytes::gib(1), .data = Bytes::mib(768)},
                    std::move(ecfg), topology_blind ? "blind" : "aware");
 }

@@ -47,24 +47,27 @@ sim::WanLinkConfig calibration(const std::string& name) {
 int main(int argc, char** argv) {
   const std::string cal = argc > 1 ? argv[1] : "wan";
 
-  core::FederationConfig fcfg;
-  fcfg.wan = calibration(cal);
   // The safe site: Ethernet-only, and only a couple of free hosts.
-  fcfg.site_b.ib_nodes = 0;
-  fcfg.site_b.eth_nodes = 2;
+  core::TestbedConfig safe;
+  safe.ib_nodes = 0;
+  safe.eth_nodes = 2;
+  core::FederationConfig fcfg;
+  fcfg.sites = {{"a", core::TestbedConfig{}}, {"b", safe}};
+  fcfg.edges = {{0, 1, calibration(cal)}};
   core::Federation fed(fcfg);
+  sim::WanLink& wan = fed.wan_link(0);
 
-  std::cout << "link calibration '" << cal << "': rtt " << fed.wan().current_rtt() << ", loss "
-            << fed.wan().config().loss * 100.0 << " %, effective "
-            << TextTable::num(fed.wan().effective_rate() / 1e6, 1) << " MB/s of "
-            << TextTable::num(fed.wan().config().line_rate.bytes_per_second() / 1e6, 1)
+  std::cout << "link calibration '" << cal << "': rtt " << wan.current_rtt() << ", loss "
+            << wan.config().loss * 100.0 << " %, effective "
+            << TextTable::num(wan.effective_rate() / 1e6, 1) << " MB/s of "
+            << TextTable::num(wan.config().line_rate.bytes_per_second() / 1e6, 1)
             << " MB/s line rate\n";
 
   core::JobConfig config;
   config.name = "evacuee";
   config.vm_count = 4;
   config.ranks_per_vm = 4;  // 16 MPI processes
-  core::MpiJob job(fed.site_a(), config);
+  core::MpiJob job(fed.site(0), config);
   // Let the scheduler resolve destination names on either site.
   job.scheduler().set_secondary_resolver(fed.resolver());
   job.init();

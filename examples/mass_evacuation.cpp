@@ -78,7 +78,6 @@ RunResult run_mode(bool sequential, int vms_per_host, bool swap_policy = false) 
 RunResult run_clos(bool topology_blind) {
   core::EvacuationConfig ecfg;
   ecfg.topology_blind = topology_blind;
-  ecfg.planner.stream_rate_cap = scenarios::kClosStreamRate;
   return run(scenarios::clos_mesh(8),
              {.vms_per_host = 2, .memory = Bytes::gib(2), .data = Bytes::mib(1536)},
              std::move(ecfg));

@@ -10,6 +10,16 @@
 #include "vmm/host.h"
 
 namespace nm::core {
+namespace {
+
+/// VM slots per destination host (bounds per-site intake together with the
+/// hosts' current residents).
+constexpr int kDstSlotsPerHost = 16;
+/// Poll period while every route to some un-evacuated VM's destination is
+/// dead.
+constexpr Duration kRetryPeriod = Duration::seconds(5);
+
+}  // namespace
 
 Duration EvacuationReport::downtime_percentile(double p) const {
   std::vector<Duration> sorted;
@@ -42,7 +52,8 @@ MassEvacuation::MassEvacuation(Federation& fed, EvacuationConfig config)
     : fed_(&fed), config_(std::move(config)) {
   NM_CHECK(config_.source_site < fed.site_count(),
            "evacuation source site " << config_.source_site << " out of range");
-  NM_CHECK(config_.dst_slots_per_host > 0, "evacuation needs >= 1 slot per destination host");
+  config_.planner.stream_rate_cap =
+      fed.site(config_.source_site).config().migration.send_rate();
   config_.policies.bind_seed(config_.seed);
 }
 
@@ -99,8 +110,8 @@ plan::SiteGraph MassEvacuation::current_graph(bool nominal) const {
       if (s < reserved_by_site_.size() && h < reserved_by_site_[s].size()) {
         reserved = reserved_by_site_[s][h];
       }
-      const int free = std::max(0, config_.dst_slots_per_host -
-                                       static_cast<int>(hosts[h]->vms().size()) - reserved);
+      const int free =
+          std::max(0, kDstSlotsPerHost - static_cast<int>(hosts[h]->vms().size()) - reserved);
       slots += free;
       if (leafy) {
         const int leaf = site.leaf_of(*hosts[h]);
@@ -128,8 +139,7 @@ std::pair<vmm::Host*, std::size_t> MassEvacuation::pick_dst_host(std::size_t sit
     if (leaf_scoped && fed_->site(site).leaf_of(*hosts[h]) != want_leaf) {
       continue;
     }
-    const int free = config_.dst_slots_per_host - static_cast<int>(hosts[h]->vms().size()) -
-                     reserved[h];
+    const int free = kDstSlotsPerHost - static_cast<int>(hosts[h]->vms().size()) - reserved[h];
     if (free > best_free) {
       best_free = free;
       best = hosts[h];
@@ -200,38 +210,17 @@ sim::Task MassEvacuation::grant_wave(std::vector<Pending> members, int wave_inde
     co_return;
   }
 
-  plan::EvacuationPlanner rate_engine(live, config_.planner);
   std::vector<const std::vector<std::size_t>*> route_ptrs;
-  route_ptrs.reserve(routes.size());
-  for (const auto& route : routes) {
-    route_ptrs.push_back(&route);
+  std::vector<std::size_t> src_leaves;
+  std::vector<std::size_t> dst_leaves;
+  for (std::size_t k = 0; k < runnable.size(); ++k) {
+    route_ptrs.push_back(&routes[k]);
+    src_leaves.push_back(moves_[runnable[k].vm_index].src_leaf);
+    dst_leaves.push_back(runnable[k].dst_leaf);
   }
-  std::vector<double> caps(live.edges.size());
-  for (std::size_t e = 0; e < live.edges.size(); ++e) {
-    caps[e] = live.edges[e].rate;
-  }
-  std::vector<double> rates;
-  if (!live.leaves.empty()) {
-    const std::size_t n_leaves = live.leaves.size();
-    std::vector<std::size_t> src_leaves;
-    std::vector<std::size_t> dst_leaves;
-    src_leaves.reserve(runnable.size());
-    dst_leaves.reserve(runnable.size());
-    for (const Pending& member : runnable) {
-      const std::size_t sl = moves_[member.vm_index].src_leaf;
-      src_leaves.push_back(sl < n_leaves ? sl : plan::kNoLeaf);
-      dst_leaves.push_back(member.dst_leaf < n_leaves ? member.dst_leaf : plan::kNoLeaf);
-    }
-    std::vector<double> leaf_up(n_leaves, 0.0);
-    std::vector<double> leaf_down(n_leaves, 0.0);
-    for (std::size_t l = 0; l < n_leaves; ++l) {
-      leaf_up[l] = std::max(0.0, live.leaves[l].uplink_rate);
-      leaf_down[l] = std::max(0.0, live.leaves[l].downlink_rate);
-    }
-    rates = rate_engine.wave_rates(route_ptrs, caps, src_leaves, dst_leaves, leaf_up, leaf_down);
-  } else {
-    rates = rate_engine.wave_rates(route_ptrs, caps);
-  }
+  // The live graph has no schedules: capacity_at(0) is each edge's rate.
+  const plan::EvacuationPlanner rate_engine(live, config_.planner);
+  const std::vector<double> rates = rate_engine.wave_rates(route_ptrs, src_leaves, dst_leaves, 0.0);
 
   // kWaveGrant: ask the placement policy once per destination site for an
   // in-site host assignment (the site itself was fixed by the planner).
@@ -263,8 +252,7 @@ sim::Task MassEvacuation::grant_wave(std::vector<Pending> members, int wave_inde
       policy::HostCandidate cand;
       cand.name = hosts[h]->name();
       cand.resident_vms = static_cast<int>(hosts[h]->vms().size());
-      cand.free_slots =
-          std::max(0, config_.dst_slots_per_host - cand.resident_vms - reserved[h]);
+      cand.free_slots = std::max(0, kDstSlotsPerHost - cand.resident_vms - reserved[h]);
       obs.candidates.push_back(std::move(cand));
     }
     const policy::Action action = config_.policies.decide(policy::Hook::kWaveGrant, obs);
@@ -289,8 +277,7 @@ sim::Task MassEvacuation::grant_wave(std::vector<Pending> members, int wave_inde
       auto& reserved = reserved_by_site_[member.dst_site];
       host_index = static_cast<std::size_t>(
           site_assignment[member.dst_site][site_cursor[member.dst_site]++]);
-      const int free = config_.dst_slots_per_host -
-                       static_cast<int>(hosts[host_index]->vms().size()) -
+      const int free = kDstSlotsPerHost - static_cast<int>(hosts[host_index]->vms().size()) -
                        reserved[host_index];
       if (free > 0) {
         dst = hosts[host_index];
@@ -451,7 +438,7 @@ sim::Task MassEvacuation::run(EvacuationReport* report_out) {
                                      "destination slots); giving up on them";
         break;
       }
-      co_await sim.delay(config_.retry_period);
+      co_await sim.delay(kRetryPeriod);
       continue;
     }
     deferred = std::move(still_deferred);

@@ -2,23 +2,24 @@
 // live Federation — the bridge between the pure planning layer and the
 // simulated testbeds.
 //
-// Wave commit protocol (DESIGN.md §9): every scheduling decision is made
-// at a wave *grant*, a fixed instant in simulated time reached from task
+// Wave commit protocol (DESIGN.md §9): every scheduling decision is made at
+// a wave *grant*, a fixed instant in simulated time reached from task
 // context. At a grant the driver (1) recomputes the mesh routes
-// (Federation::recompute_routes), so the fabrics detour around
-// partitioned edges whenever an alternative path exists, (2) reads every
-// WanLink's live effective rate and recomputes each wave member's route
-// on the live mesh, (3) re-runs the max-min rate assignment against the
-// live capacities, and (4) pins each migration to its planned rate via
-// the per-call bandwidth cap. Members whose destination is unreachable
-// are deferred and re-planned — rerouted when an alternate path exists,
-// retried on a poll period until the mesh heals otherwise. Because planned rates
-// never oversubscribe an edge, each migration realizes exactly its
-// planned rate, so the pre-copy estimator is accurate and realized
-// downtime respects MigrationConfig::max_downtime. All inputs to a grant
-// are deterministic functions of simulated state at that instant, so an
-// evacuation timeline is reproducible to the nanosecond (pinned by value in
-// wan_federation_test and bench_gate's sweep9 row).
+// (Federation::recompute_routes), so the fabrics detour around partitioned
+// edges whenever an alternative path exists, (2) reads every WanLink's live
+// effective rate and recomputes each wave member's route on the live mesh,
+// (3) re-runs the max-min rate assignment against the live capacities, each
+// stream capped at the source site's per-stream send rate
+// (vmm::MigrationConfig::send_rate()), and (4) pins each migration to its
+// planned rate via the per-call bandwidth cap. Members whose destination is
+// unreachable are deferred and re-planned — rerouted when an alternate path
+// exists, retried on a poll period until the mesh heals otherwise. Because
+// planned rates never oversubscribe an edge, each migration realizes
+// exactly its planned rate, so the pre-copy estimator is accurate and
+// realized downtime respects MigrationConfig::max_downtime. All inputs to a
+// grant are deterministic functions of simulated state at that instant, so
+// an evacuation timeline is reproducible to the nanosecond (pinned by value
+// in wan_federation_test and bench_gate's sweep9 row).
 #pragma once
 
 #include <cstdint>
@@ -35,13 +36,9 @@ namespace nm::core {
 struct EvacuationConfig {
   /// Site to evacuate (index into the federation's sites).
   std::size_t source_site = 0;
+  /// The driver overwrites `stream_rate_cap` with the source site's
+  /// per-stream send rate (vmm::MigrationConfig::send_rate()).
   plan::PlannerConfig planner;
-  /// VM slots per destination host (bounds per-site intake together with
-  /// the hosts' current residents).
-  int dst_slots_per_host = 16;
-  /// Poll period while every route to some un-evacuated VM's destination
-  /// is dead.
-  Duration retry_period = Duration::seconds(5);
   /// Execute the naive-sequential baseline instead of the batched plan.
   bool sequential = false;
   /// Plan and place as if every site were flat: the planner sees the
@@ -96,8 +93,8 @@ class MassEvacuation {
 
   /// The planner input the next run() would use: federation mesh (nominal
   /// edge rates when `nominal`, live effective rates otherwise) with
-  /// destination slots derived from dst_slots_per_host minus current
-  /// residents.
+  /// destination slots: 16 per host minus its residents and in-flight
+  /// arrivals.
   [[nodiscard]] plan::SiteGraph current_graph(bool nominal = true) const;
 
   /// Evacuates every VM resident on the source site. Reports per-VM

@@ -6,16 +6,15 @@
 #include "util/error.h"
 
 namespace nm::core {
+namespace {
+
+/// Throughput of the geo-replicated store all sites mount.
+constexpr Bandwidth kGeoStorageRate = Bandwidth::mib_per_sec(300);
+
+}  // namespace
 
 Federation::Federation(FederationConfig config)
     : config_(std::move(config)), sim_(config_.seed), net_(sim_) {
-  // Normalize the two-site shorthand into the mesh form so everything
-  // downstream is N-site code.
-  if (config_.sites.empty()) {
-    config_.sites.push_back({"a", config_.site_a});
-    config_.sites.push_back({"b", config_.site_b});
-    config_.edges.push_back({0, 1, config_.wan});
-  }
   const std::size_t n = config_.sites.size();
   NM_CHECK(n >= 2, "a federation needs at least two sites");
   {
@@ -57,7 +56,7 @@ Federation::Federation(FederationConfig config)
   // boundary flow regardless of which site the VM runs on.
   auto& core_domain = net_.add_domain("wan-core");
   storage_ = std::make_unique<vmm::SharedStorage>(net_, core_domain.scheduler(), "geo",
-                                                  config_.geo_storage_rate);
+                                                  kGeoStorageRate);
 
   for (const FederationSiteConfig& site : config_.sites) {
     site_names_.push_back(site.name);
@@ -91,70 +90,28 @@ Federation::Federation(FederationConfig config)
     edges_.push_back(std::move(edge));
   }
 
+  // Every edge is alive at construction, even one whose schedule opens
+  // partitioned: the first recompute_routes() steers around it.
   routes_.assign(n, std::vector<std::vector<std::size_t>>(n));
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i != j) {
-        routes_[i][j] = bfs_route(i, j, [](const Edge&) { return true; });
-      }
-    }
-  }
-  install_fabric_routes();
+  route_mesh(/*skip_partitioned=*/false);
 }
 
-template <typename AliveFn>
-std::vector<std::size_t> Federation::bfs_route(std::size_t from, std::size_t to,
-                                               AliveFn alive) const {
-  constexpr std::size_t kUnvisited = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> parent_edge(sites_.size(), kUnvisited);
-  std::vector<bool> seen(sites_.size(), false);
-  std::vector<std::size_t> frontier{from};
-  seen[from] = true;
-  while (!frontier.empty() && !seen[to]) {
-    std::vector<std::size_t> next;
-    for (std::size_t site : frontier) {
-      for (std::size_t e = 0; e < edges_.size(); ++e) {
-        const Edge& edge = edges_[e];
-        if (!alive(edge)) {
-          continue;
-        }
-        std::size_t far;
-        if (edge.a == site) {
-          far = edge.b;
-        } else if (edge.b == site) {
-          far = edge.a;
-        } else {
-          continue;
-        }
-        if (seen[far]) {
-          continue;
-        }
-        seen[far] = true;
-        parent_edge[far] = e;
-        next.push_back(far);
-      }
-    }
-    frontier = std::move(next);
+void Federation::route_mesh(bool skip_partitioned) {
+  plan::SiteGraph mesh;
+  mesh.sites.resize(sites_.size());
+  for (const Edge& edge : edges_) {
+    const bool alive = !skip_partitioned || !edge.link->partitioned();
+    mesh.edges.push_back({edge.a, edge.b, alive ? 1.0 : 0.0, {}});
   }
-  if (!seen[to]) {
-    return {};
-  }
-  std::vector<std::size_t> hops;
-  for (std::size_t site = to; site != from;) {
-    std::size_t e = parent_edge[site];
-    hops.push_back(e);
-    site = edges_[e].a == site ? edges_[e].b : edges_[e].a;
-  }
-  std::reverse(hops.begin(), hops.end());
-  return hops;
-}
-
-void Federation::install_fabric_routes() {
   for (std::size_t i = 0; i < sites_.size(); ++i) {
     for (std::size_t j = 0; j < sites_.size(); ++j) {
-      if (i == j || routes_[i][j].empty()) {
+      std::vector<std::size_t> route = mesh.route(i, j, 0.0);
+      if (route.empty()) {
+        // Keep the previous route: traffic freezes on the dead edge
+        // instead of erroring, and heals in place.
         continue;
       }
+      routes_[i][j] = std::move(route);
       std::vector<net::WanHop> hops;
       std::size_t cur = i;
       for (std::size_t e : routes_[i][j]) {
@@ -171,23 +128,7 @@ void Federation::install_fabric_routes() {
   }
 }
 
-void Federation::recompute_routes() {
-  for (std::size_t i = 0; i < sites_.size(); ++i) {
-    for (std::size_t j = 0; j < sites_.size(); ++j) {
-      if (i == j) {
-        continue;
-      }
-      std::vector<std::size_t> live =
-          bfs_route(i, j, [](const Edge& e) { return !e.link->partitioned(); });
-      if (!live.empty()) {
-        routes_[i][j] = std::move(live);
-      }
-      // else: keep the previous route — traffic freezes on the dead edge
-      // instead of erroring, and heals in place.
-    }
-  }
-  install_fabric_routes();
-}
+void Federation::recompute_routes() { route_mesh(/*skip_partitioned=*/true); }
 
 plan::SiteGraph Federation::site_graph() const {
   plan::SiteGraph graph;
@@ -198,15 +139,6 @@ plan::SiteGraph Federation::site_graph() const {
     graph.edges.push_back({edge.a, edge.b, edge.link->nominal_rate(), {}});
   }
   return graph;
-}
-
-Testbed* Federation::site_by_name(const std::string& name) {
-  for (std::size_t i = 0; i < site_names_.size(); ++i) {
-    if (site_names_[i] == name) {
-      return sites_[i].get();
-    }
-  }
-  return nullptr;
 }
 
 vmm::Host* Federation::find_host(const std::string& name) {

@@ -8,11 +8,11 @@
 // endpoint pair (whose CapPolicy folds the latency/bandwidth/loss model
 // into the published ghost caps — DESIGN.md §7) and the ingress site's
 // uplink, and finally the destination's rx. Routes are fewest-hops over
-// the edge mesh, computed with a deterministic BFS at construction and
-// re-computable against the live mesh after partitions
-// (recompute_routes()). Determinism is inherited wholesale: one event
-// queue and canonical-order commits (wan_federation_test pins the
-// timelines by value).
+// the edge mesh, found by plan::SiteGraph::route — the planner's own BFS,
+// so a stream rides the route MassEvacuation rates it on — at construction
+// and again against the live mesh after partitions (recompute_routes()).
+// Determinism is inherited wholesale: one event queue and canonical-order
+// commits (wan_federation_test pins the timelines by value).
 //
 // The sites mount one geo-replicated shared store (the cross-site
 // equivalent of the paper's NFS mount) — live migration requires source and
@@ -46,27 +46,17 @@ struct FederationEdgeConfig {
 };
 
 struct FederationConfig {
-  /// Two-site shorthand, used when `sites` is empty: site_a and site_b
-  /// coupled by `wan` (named "a" and "b").
-  TestbedConfig site_a;
-  TestbedConfig site_b;
-  /// The inter-datacenter link of the two-site shorthand. Defaults to
-  /// 1 Gbps with no impairments; calibrate rtt/loss/schedule per scenario
-  /// (EXPERIMENTS.md lists the LAN / metro / WAN presets).
-  sim::WanLinkConfig wan;
-
-  /// N-site mesh: named sites plus WAN edges between them. Non-empty
-  /// `sites` overrides the two-site shorthand entirely. Every site should
-  /// be reachable from every other (unconnected pairs simply cannot
-  /// exchange traffic).
+  /// The mesh: at least two named sites plus the WAN edges between them.
+  /// Every site should be reachable from every other (unconnected pairs
+  /// simply cannot exchange traffic). An edge's WanLinkConfig defaults to
+  /// 1 Gbps with no impairments; EXPERIMENTS.md lists the LAN / metro /
+  /// WAN calibrations.
   std::vector<FederationSiteConfig> sites;
   std::vector<FederationEdgeConfig> edges;
 
   /// Line rate of each site's WAN-facing switch uplink ports (one per
   /// incident edge).
   Bandwidth uplink_rate = Bandwidth::gbps(10);
-  /// Throughput of the geo-replicated store all sites mount.
-  Bandwidth geo_storage_rate = Bandwidth::mib_per_sec(300);
   /// Seed of the shared simulation (the per-site configs' seeds are
   /// ignored; the clock is federation-wide).
   std::uint64_t seed = 1;
@@ -74,7 +64,7 @@ struct FederationConfig {
 
 class Federation {
  public:
-  explicit Federation(FederationConfig config = {});
+  explicit Federation(FederationConfig config);
   Federation(const Federation&) = delete;
   Federation& operator=(const Federation&) = delete;
 
@@ -86,20 +76,9 @@ class Federation {
   [[nodiscard]] std::size_t site_count() const { return sites_.size(); }
   [[nodiscard]] Testbed& site(std::size_t i) { return *sites_[i]; }
   [[nodiscard]] const std::string& site_name(std::size_t i) const { return site_names_[i]; }
-  /// Site by configured name; nullptr when absent.
-  [[nodiscard]] Testbed* site_by_name(const std::string& name);
-  /// Two-site shorthand accessors (sites 0 and 1).
-  [[nodiscard]] Testbed& site_a() { return site(0); }
-  [[nodiscard]] Testbed& site_b() { return site(1); }
 
   [[nodiscard]] std::size_t edge_count() const { return edges_.size(); }
   [[nodiscard]] sim::WanLink& wan_link(std::size_t e) { return *edges_[e].link; }
-  /// Endpoint site indices of edge `e`.
-  [[nodiscard]] std::pair<std::size_t, std::size_t> edge_sites(std::size_t e) const {
-    return {edges_[e].a, edges_[e].b};
-  }
-  /// The two-site shorthand's link (edge 0).
-  [[nodiscard]] sim::WanLink& wan() { return wan_link(0); }
 
   /// Edge indices of the current fewest-hops route from site `i` to site
   /// `j` (empty when i == j or the pair was unreachable at the last route
@@ -152,13 +131,11 @@ class Federation {
     std::unique_ptr<sim::WanLink> link;
   };
 
-  /// Fewest-hops BFS over the edge subset for which `alive(e)` holds;
-  /// deterministic (neighbours in edge-index order).
-  template <typename AliveFn>
-  [[nodiscard]] std::vector<std::size_t> bfs_route(std::size_t from, std::size_t to,
-                                                   AliveFn alive) const;
-  /// Registers routes_[i][j] into the sites' eth fabrics.
-  void install_fabric_routes();
+  /// Sets every pair's route to its SiteGraph::route over the mesh —
+  /// partitioned edges dead when `skip_partitioned`, every edge alive
+  /// otherwise — keeping the previous route of a pair with none, and
+  /// registers the routes into the sites' eth fabrics.
+  void route_mesh(bool skip_partitioned);
 
   FederationConfig config_;
   sim::Simulation sim_;

@@ -1,6 +1,6 @@
 #include "core/ninja.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "mpi/cr.h"
 #include "util/log.h"
@@ -135,10 +135,8 @@ sim::Task episode_start_hook(sim::Simulation& sim, const policy::PolicySet& poli
 vmm::MigrationControl make_episode_control(const policy::PolicySet& policies,
                                            const policy::ObservationSource& source,
                                            const MigrationPlan& plan) {
-  const auto& mig = plan.vms.front()->host().migration_engine().config();
-  const double line_rate =
-      mig.use_rdma ? mig.max_bandwidth : std::min(mig.thread_send_rate, mig.max_bandwidth);
-  return policy::make_migration_control(policies, source, mig.max_downtime, line_rate);
+  return policy::make_migration_control(policies, source,
+                                        plan.vms.front()->host().migration_engine().config());
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
 #include "core/service_episode.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "util/error.h"
@@ -60,11 +59,8 @@ sim::Task ServiceEpisode::run(EpisodeSpec spec) {
   vmm::Host* dst = spec.candidates[static_cast<std::size_t>(picks.front())];
 
   auto& src = spec.vm->host();  // resolved at fire time, not scheduling time
-  const auto& mig = src.migration_engine().config();
-  const double line_rate =
-      mig.use_rdma ? mig.max_bandwidth : std::min(mig.thread_send_rate, mig.max_bandwidth);
   const vmm::MigrationControl control = policy::make_migration_control(
-      spec.policies, spec.source, mig.max_downtime, line_rate);
+      spec.policies, spec.source, src.migration_engine().config());
   co_await src.migrate(*spec.vm, *dst, &live_,
                        std::numeric_limits<double>::infinity(), &control);
 }

@@ -104,8 +104,6 @@ class Testbed {
   /// domain 0 standalone, this site's first domain under a federation. A
   /// WAN link's endpoint for this site registers here.
   [[nodiscard]] sim::FluidDomain& zone_domain() { return net_->domain(zone_index_); }
-  /// "<site>:" under a federation, empty standalone.
-  [[nodiscard]] const std::string& name_prefix() const { return prefix_; }
 
   [[nodiscard]] int ib_host_count() const { return config_.ib_nodes; }
   [[nodiscard]] int eth_host_count() const { return config_.eth_nodes; }

@@ -105,7 +105,6 @@ class OpenIbBtl final : public BtlModule {
   [[nodiscard]] sim::Task put(const ModexEntry& peer, Bytes bytes) override;
   void release_resources() override;
 
-  [[nodiscard]] std::size_t connected_peers() const { return peer_qps_.size(); }
   [[nodiscard]] net::FabricAddress local_lid() const { return local_lid_; }
 
  private:

@@ -44,7 +44,6 @@ class CrService {
   /// Returns the request generation to wait on. Requires ft_enable_cr.
   std::uint64_t request();
   [[nodiscard]] bool pending() const { return pending_; }
-  [[nodiscard]] std::uint64_t completed_generation() const { return completed_generation_; }
   /// Waits until request generation `gen` has fully completed.
   [[nodiscard]] sim::Task wait_complete(std::uint64_t gen);
 
@@ -55,8 +54,6 @@ class CrService {
   void notify_state_changed() { state_changed_.notify_all(); }
   /// Internal: called by MpiRuntime::init.
   void on_init(std::size_t rank_count);
-
-  [[nodiscard]] std::size_t in_service() const { return in_service_; }
 
  private:
   [[nodiscard]] sim::Task service(Rank& rank);

@@ -50,16 +50,6 @@ void Fabric::add_route(Fabric& dst, std::vector<WanHop> hops) {
                       << routes_.back().hops.size() << " WAN hop(s)";
 }
 
-void Fabric::peer_with(Fabric& other, sim::WanLink& wan) {
-  NM_CHECK(&other != this, spec_.name << ": cannot peer a fabric with itself");
-  NM_CHECK(uplink_ != nullptr, spec_.name << ": set_uplink before peer_with");
-  NM_CHECK(other.uplink_ != nullptr, other.spec_.name << ": set_uplink before peer_with");
-  add_route(other, {WanHop{uplink_, &wan, other.uplink_, &other}});
-  other.add_route(*this, {WanHop{other.uplink_, &wan, uplink_, this}});
-  NM_LOG_DEBUG("net") << spec_.name << ": peered with " << other.spec_.name << " over WAN link "
-                      << wan.name();
-}
-
 std::pair<AttachmentPtr, const Fabric::Route*> Fabric::find_remote(FabricAddress addr) const {
   for (const Route& route : routes_) {
     if (AttachmentPtr dst = route.dst->find(addr)) {

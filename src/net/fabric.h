@@ -62,7 +62,6 @@ class Attachment {
   /// Receive-side resources every inbound transfer consumes (e.g. the
   /// owning VM's vhost thread). Registered by the owning device.
   void set_rx_shares(std::vector<sim::ResourceShare> shares) { rx_shares_ = std::move(shares); }
-  [[nodiscard]] const std::vector<sim::ResourceShare>& rx_shares() const { return rx_shares_; }
 
  private:
   friend class Fabric;
@@ -146,14 +145,6 @@ class Fabric {
   [[nodiscard]] sim::Task transfer(AttachmentPtr src, FabricAddress dst_addr, Bytes bytes,
                                    TransferOptions opts = {});
 
-  [[nodiscard]] std::size_t attachment_count() const { return by_address_.size(); }
-
-  /// Declares `port` this fabric's default federable edge: the switch
-  /// uplink peer_with() rides (tx outbound, rx inbound). Multi-edge meshes
-  /// skip this and hand per-edge ports to add_route() directly.
-  void set_uplink(NicPort& port) { uplink_ = &port; }
-  [[nodiscard]] NicPort* uplink() { return uplink_; }
-
   /// Registers (or replaces) the one-way WAN route to `dst`: a destination
   /// address that does not resolve locally is looked up on every routed
   /// fabric in registration order, and a matching transfer crosses each
@@ -163,10 +154,6 @@ class Fabric {
   /// (after a partition) replaces the hop list; transfers already past
   /// their route lookup keep the hops they copied.
   void add_route(Fabric& dst, std::vector<WanHop> hops);
-
-  /// Two-site convenience: symmetric single-hop routes between this fabric
-  /// and `other` over `wan`, riding both fabrics' set_uplink() ports.
-  void peer_with(Fabric& other, sim::WanLink& wan);
 
   /// Planning rate for src → dst_addr, bytes/s: the min line rate along the
   /// path, folded with every crossed WAN's current *effective* (model) rate
@@ -203,7 +190,6 @@ class Fabric {
   FabricAddress next_address_;
   std::map<FabricAddress, std::weak_ptr<Attachment>> by_address_;
   std::uint64_t epoch_counter_ = 0;
-  NicPort* uplink_ = nullptr;
   ClosFabric* topology_ = nullptr;
   std::vector<Route> routes_;
 };

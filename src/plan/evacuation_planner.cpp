@@ -142,29 +142,25 @@ int incast_slots(double capacity, const PlannerConfig& config) {
                   std::max(1, static_cast<int>(capacity / config.stream_rate_cap)));
 }
 
-}  // namespace
-
-std::vector<double> EvacuationPlanner::wave_rates(
-    const std::vector<const std::vector<std::size_t>*>& routes,
-    const std::vector<double>& edge_capacity) const {
-  // Progressive filling: raise every unfrozen stream together; freeze the
-  // streams crossing the first edge that saturates (or that hit the
-  // per-stream cap). Same algorithm as the fluid solver's reference,
-  // specialised to unit weights.
-  const std::size_t n = routes.size();
+/// Progressive filling: raise every unfrozen stream together; freeze the
+/// streams crossing the first capacity that saturates (or that hit the
+/// per-stream cap). Stream s takes one unit of every capacity index in
+/// `units[s]`.
+std::vector<double> max_min_rates(const std::vector<std::vector<std::size_t>>& units,
+                                  std::vector<double> residual, double stream_cap) {
+  const std::size_t n = units.size();
   std::vector<double> rate(n, 0.0);
   std::vector<bool> frozen(n, false);
-  std::vector<double> residual = edge_capacity;
   std::size_t active = n;
   for (;;) {
     // Freeze streams that cannot grow: at the per-stream cap, over a
-    // saturated (or dead) edge, or with no route at all.
+    // saturated (or dead) capacity, or with no route at all.
     for (std::size_t s = 0; s < n; ++s) {
       if (frozen[s]) {
         continue;
       }
-      bool done = rate[s] >= config_.stream_rate_cap - 1e-9 || routes[s]->empty();
-      for (std::size_t e : *routes[s]) {
+      bool done = rate[s] >= stream_cap - 1e-9 || units[s].empty();
+      for (std::size_t e : units[s]) {
         if (residual[e] <= 1e-9) {
           done = true;
           break;
@@ -178,14 +174,13 @@ std::vector<double> EvacuationPlanner::wave_rates(
     if (active == 0) {
       break;
     }
-    // Smallest headroom over any edge with unfrozen streams, in fair-share
-    // terms, and the smallest remaining distance to the per-stream cap.
+    // Smallest headroom over any capacity with unfrozen streams, in
+    // fair-share terms, and the smallest remaining distance to the cap.
     double step = kNever;
     for (std::size_t e = 0; e < residual.size(); ++e) {
       int users = 0;
       for (std::size_t s = 0; s < n; ++s) {
-        if (!frozen[s] &&
-            std::find(routes[s]->begin(), routes[s]->end(), e) != routes[s]->end()) {
+        if (!frozen[s] && std::find(units[s].begin(), units[s].end(), e) != units[s].end()) {
           ++users;
         }
       }
@@ -195,7 +190,7 @@ std::vector<double> EvacuationPlanner::wave_rates(
     }
     for (std::size_t s = 0; s < n; ++s) {
       if (!frozen[s]) {
-        step = std::min(step, config_.stream_rate_cap - rate[s]);
+        step = std::min(step, stream_cap - rate[s]);
       }
     }
     if (!(step > 0.0) || step == kNever) {
@@ -206,7 +201,7 @@ std::vector<double> EvacuationPlanner::wave_rates(
         continue;
       }
       rate[s] += step;
-      for (std::size_t e : *routes[s]) {
+      for (std::size_t e : units[s]) {
         residual[e] -= step;
       }
     }
@@ -214,36 +209,42 @@ std::vector<double> EvacuationPlanner::wave_rates(
   return rate;
 }
 
+}  // namespace
+
 std::vector<double> EvacuationPlanner::wave_rates(
     const std::vector<const std::vector<std::size_t>*>& routes,
-    const std::vector<double>& edge_capacity, const std::vector<std::size_t>& stream_src_leaf,
-    const std::vector<std::size_t>& stream_dst_leaf,
-    const std::vector<double>& leaf_uplink_capacity,
-    const std::vector<double>& leaf_downlink_capacity) const {
-  // Extend the capacity space: WAN edges, then one uplink and one downlink
-  // entry per leaf, and run the same progressive filling over it.
-  const std::size_t n_edges = edge_capacity.size();
-  const std::size_t n_leaves = leaf_uplink_capacity.size();
-  std::vector<double> caps = edge_capacity;
-  caps.insert(caps.end(), leaf_uplink_capacity.begin(), leaf_uplink_capacity.end());
-  caps.insert(caps.end(), leaf_downlink_capacity.begin(), leaf_downlink_capacity.end());
-  std::vector<std::vector<std::size_t>> ext(routes.size());
-  std::vector<const std::vector<std::size_t>*> ptrs(routes.size());
+    const std::vector<std::size_t>& src_leaf, const std::vector<std::size_t>& dst_leaf,
+    double t) const {
+  // The capacity space: WAN edges, then one uplink and one downlink entry
+  // per leaf.
+  const std::size_t n_edges = graph_.edges.size();
+  const std::size_t n_leaves = graph_.leaves.size();
+  std::vector<double> caps;
+  caps.reserve(n_edges + 2 * n_leaves);
+  for (const EdgeSpec& edge : graph_.edges) {
+    caps.push_back(edge.capacity_at(t));
+  }
+  for (const LeafSpec& leaf : graph_.leaves) {
+    caps.push_back(std::max(0.0, leaf.uplink_rate));
+  }
+  for (const LeafSpec& leaf : graph_.leaves) {
+    caps.push_back(std::max(0.0, leaf.downlink_rate));
+  }
+  std::vector<std::vector<std::size_t>> units(routes.size());
   for (std::size_t s = 0; s < routes.size(); ++s) {
-    ext[s] = *routes[s];
+    units[s] = *routes[s];
     // A routeless stream stays routeless (rate 0) — leaf entries would
     // make it look schedulable.
-    if (!ext[s].empty()) {
-      if (s < stream_src_leaf.size() && stream_src_leaf[s] < n_leaves) {
-        ext[s].push_back(n_edges + stream_src_leaf[s]);
+    if (!units[s].empty()) {
+      if (s < src_leaf.size() && src_leaf[s] < n_leaves) {
+        units[s].push_back(n_edges + src_leaf[s]);
       }
-      if (s < stream_dst_leaf.size() && stream_dst_leaf[s] < n_leaves) {
-        ext[s].push_back(n_edges + n_leaves + stream_dst_leaf[s]);
+      if (s < dst_leaf.size() && dst_leaf[s] < n_leaves) {
+        units[s].push_back(n_edges + n_leaves + dst_leaf[s]);
       }
     }
-    ptrs[s] = &ext[s];
   }
-  return wave_rates(ptrs, caps);
+  return max_min_rates(units, std::move(caps), config_.stream_rate_cap);
 }
 
 Plan EvacuationPlanner::evaluate(std::size_t src_site, const std::vector<VmToMove>& vms,
@@ -268,25 +269,17 @@ Plan EvacuationPlanner::evaluate(std::size_t src_site, const std::vector<VmToMov
   }
   std::vector<std::vector<std::size_t>> site_leaves(graph_.sites.size());
   std::vector<int> leaf_slots_left(n_leaves, 0);
-  std::vector<double> leaf_up(n_leaves, 0.0);
-  std::vector<double> leaf_down(n_leaves, 0.0);
   for (std::size_t l = 0; l < n_leaves; ++l) {
     const LeafSpec& leaf = graph_.leaves[l];
     if (leaf.site < graph_.sites.size()) {
       site_leaves[leaf.site].push_back(l);
     }
     leaf_slots_left[l] = std::max(0, leaf.free_vm_slots);
-    leaf_up[l] = std::max(0.0, leaf.uplink_rate);
-    leaf_down[l] = std::max(0.0, leaf.downlink_rate);
   }
 
   double t = now;
   int w_out = 0;
   for (const std::vector<std::size_t>& members : waves) {
-    std::vector<double> caps(graph_.edges.size());
-    for (std::size_t e = 0; e < graph_.edges.size(); ++e) {
-      caps[e] = graph_.edges[e].capacity_at(t);
-    }
     std::vector<std::size_t> admitted;
     for (std::size_t i : members) {
       Assignment& a = out.assignments[i];
@@ -330,12 +323,10 @@ Plan EvacuationPlanner::evaluate(std::size_t src_site, const std::vector<VmToMov
     routes.reserve(admitted.size());
     for (std::size_t i : admitted) {
       routes.push_back(&out.assignments[i].route_edges);
-      src_leaves.push_back(vms[i].src_leaf < n_leaves ? vms[i].src_leaf : kNoLeaf);
+      src_leaves.push_back(vms[i].src_leaf);
       dst_leaves.push_back(out.assignments[i].dst_leaf);
     }
-    std::vector<double> rates =
-        n_leaves > 0 ? wave_rates(routes, caps, src_leaves, dst_leaves, leaf_up, leaf_down)
-                     : wave_rates(routes, caps);
+    const std::vector<double> rates = wave_rates(routes, src_leaves, dst_leaves, t);
     double wave_end = t;
     bool any = false;
     for (std::size_t k = 0; k < admitted.size(); ++k) {
@@ -762,30 +753,15 @@ Plan EvacuationPlanner::plan_batched(std::size_t src_site, const std::vector<VmT
       continue;
     }
     std::vector<const std::vector<std::size_t>*> routes;
-    std::vector<double> caps(graph_.edges.size());
-    for (std::size_t e = 0; e < graph_.edges.size(); ++e) {
-      caps[e] = graph_.edges[e].capacity_at(t);
-    }
-    routes.reserve(admitted.size());
     std::vector<std::size_t> src_leaves;
     std::vector<std::size_t> dst_leaves;
+    routes.reserve(admitted.size());
     for (std::size_t i : admitted) {
       routes.push_back(&out.assignments[i].route_edges);
-      src_leaves.push_back(vms[i].src_leaf < n_leaves ? vms[i].src_leaf : kNoLeaf);
+      src_leaves.push_back(vms[i].src_leaf);
       dst_leaves.push_back(out.assignments[i].dst_leaf);
     }
-    std::vector<double> rates;
-    if (n_leaves > 0) {
-      std::vector<double> leaf_up(n_leaves, 0.0);
-      std::vector<double> leaf_down(n_leaves, 0.0);
-      for (std::size_t l = 0; l < n_leaves; ++l) {
-        leaf_up[l] = std::max(0.0, graph_.leaves[l].uplink_rate);
-        leaf_down[l] = std::max(0.0, graph_.leaves[l].downlink_rate);
-      }
-      rates = wave_rates(routes, caps, src_leaves, dst_leaves, leaf_up, leaf_down);
-    } else {
-      rates = wave_rates(routes, caps);
-    }
+    const std::vector<double> rates = wave_rates(routes, src_leaves, dst_leaves, t);
     double wave_end = t;
     for (std::size_t k = 0; k < admitted.size(); ++k) {
       Assignment& a = out.assignments[admitted[k]];

@@ -208,27 +208,19 @@ class EvacuationPlanner {
   [[nodiscard]] Plan plan_sequential(std::size_t src_site, const std::vector<VmToMove>& vms,
                                      double now = 0.0) const;
 
-  /// Max-min fair rates for concurrent streams over shared edges: stream s
-  /// takes one unit of every edge in `*routes[s]`, capacities in
-  /// `edge_capacity` (indexed like graph().edges), every stream capped at
-  /// stream_rate_cap. Drivers re-run this at wave grant time with the live
-  /// capacities so the feasibility invariant holds against the *current*
-  /// mesh, not the plan-time snapshot.
+  /// Max-min fair rates for one wave's concurrent streams at time `t`:
+  /// stream s takes one unit of every edge in `*routes[s]` (capacity
+  /// capacity_at(t)), of leaf uplink `src_leaf[s]` and of leaf downlink
+  /// `dst_leaf[s]` (capacities max(0, uplink_rate) and
+  /// max(0, downlink_rate); a missing or out-of-range index, kNoLeaf
+  /// included, skips that side), every stream capped at stream_rate_cap.
+  /// A routeless stream gets rate 0. Drivers re-run this at wave grant
+  /// time on a graph of live capacities, so the feasibility invariant
+  /// holds against the *current* mesh, not the plan-time snapshot.
   [[nodiscard]] std::vector<double> wave_rates(
       const std::vector<const std::vector<std::size_t>*>& routes,
-      const std::vector<double>& edge_capacity) const;
-
-  /// Leaf-aware overload: stream s additionally takes one unit of leaf
-  /// uplink `stream_src_leaf[s]` and leaf downlink `stream_dst_leaf[s]`
-  /// (kNoLeaf entries skip the respective side). Capacities are indexed
-  /// like graph().leaves.
-  [[nodiscard]] std::vector<double> wave_rates(
-      const std::vector<const std::vector<std::size_t>*>& routes,
-      const std::vector<double>& edge_capacity,
-      const std::vector<std::size_t>& stream_src_leaf,
-      const std::vector<std::size_t>& stream_dst_leaf,
-      const std::vector<double>& leaf_uplink_capacity,
-      const std::vector<double>& leaf_downlink_capacity) const;
+      const std::vector<std::size_t>& src_leaf, const std::vector<std::size_t>& dst_leaf,
+      double t) const;
 
   /// Re-costs another plan's shape (wave membership + destination sites)
   /// under *this* planner's graph: routes are recomputed per wave,

@@ -100,12 +100,12 @@ std::vector<int> resolve_assignment(const Action& action, std::size_t vm_count,
 }
 
 vmm::MigrationControl make_migration_control(PolicySet set, ObservationSource source,
-                                             Duration max_downtime, double line_rate) {
+                                             const vmm::MigrationConfig& engine) {
   // Everything is captured by value; the PolicySet copy shares the caller's
   // policy objects (shared_ptr), so per-policy state keeps accumulating in
   // one place even when several controls are built from the same set.
-  auto observe = [source = std::move(source), max_downtime,
-                  line_rate](const vmm::MigrationStats& live, int round) {
+  auto observe = [source = std::move(source), max_downtime = engine.max_downtime,
+                  line_rate = engine.send_rate()](const vmm::MigrationStats& live, int round) {
     Observation obs;
     if (source.now) {
       obs.now = source.now();

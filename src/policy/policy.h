@@ -102,8 +102,8 @@ struct Observation {
   SloSnapshot slo;
   /// The engine's downtime promise in force.
   Duration max_downtime = Duration::zero();
-  /// Send rate the engine would use uncapped (bytes/s; thread rate or the
-  /// path rate, whichever binds).
+  /// The engine's per-stream send rate (vmm::MigrationConfig::send_rate(),
+  /// bytes/s).
   double line_rate = std::numeric_limits<double>::infinity();
   /// kPauseDecision: estimated stop-and-copy downtime at the uncapped rate.
   Duration estimated_downtime = Duration::zero();
@@ -224,12 +224,12 @@ struct ObservationSource {
 /// Builds the vmm::MigrationEngine control block that routes the engine's
 /// clocked decision points (per-round cap, pause instant, forced stop)
 /// through `set`. `source` fills the SLO fields of each Observation;
-/// `max_downtime`/`line_rate` describe the engine configuration in force.
+/// `engine` is the engine configuration in force (its max_downtime and
+/// send_rate() become the Observation's max_downtime and line_rate).
 /// The returned struct captures `set` and `source` by value (policies are
 /// shared_ptrs, so decisions still land in the caller's policy objects).
 [[nodiscard]] vmm::MigrationControl make_migration_control(PolicySet set,
                                                            ObservationSource source,
-                                                           Duration max_downtime,
-                                                           double line_rate);
+                                                           const vmm::MigrationConfig& engine);
 
 }  // namespace nm::policy

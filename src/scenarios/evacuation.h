@@ -20,7 +20,7 @@ core::FederationConfig metro_mesh(int source_hosts, int refuge_hosts);
 
 /// Bytes/s of one migration stream in the Clos mesh: the migration
 /// thread's send rate, provisioned at 4 Gbps so that intra-site capacity,
-/// not the sender CPU, binds. A Clos drain plans with this stream cap.
+/// not the sender CPU, binds.
 inline constexpr double kClosStreamRate = 500e6;
 
 /// The 3-site Clos mesh. dc0 racks 3 x `hosts_per_leaf` hosts under three

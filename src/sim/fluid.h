@@ -105,7 +105,6 @@ class FluidResource {
   /// itself to its endpoint pair; see sim/wan_link.h). nullptr detaches.
   /// Plain single-scheduler solves never consult the policy.
   void set_cap_policy(CapPolicy* policy) { cap_policy_ = policy; }
-  [[nodiscard]] CapPolicy* cap_policy() const { return cap_policy_; }
 
  private:
   friend class FluidScheduler;
@@ -319,7 +318,6 @@ class FluidScheduler : public FlowRouter {
   FlowPtr start(FlowSpec spec) override;
   using FlowRouter::run;
 
-  [[nodiscard]] std::size_t active_flow_count() const { return flows_.size(); }
   /// Number of connected flow/resource components currently tracked.
   [[nodiscard]] std::size_t component_count() const;
 

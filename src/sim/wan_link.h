@@ -126,8 +126,10 @@ class WanLink final : public CapPolicy {
   WanLinkConfig config_;
   double factor_ = 1.0;
   Duration rtt_;
-  /// Keeps posted schedule callbacks from touching a destroyed link (the
-  /// simulation queue has no cancellation; callbacks hold a weak_ptr).
+  /// Keeps posted schedule callbacks from touching a destroyed link: each
+  /// holds a weak_ptr to this flag and does nothing once it has expired.
+  /// Plain posts plus the flag spare the link a ticket per phase, and its
+  /// destructor never touches the event queue.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
   FluidResource a_;
   FluidResource b_;

@@ -106,7 +106,7 @@ void StackedBarChart::render(std::ostream& os) const {
       }
     }
     const double total = std::accumulate(segs.begin(), segs.end(), 0.0);
-    os << " " << TextTable::num(total) << unit_ << " (";
+    os << " " << TextTable::num(total) << "s (";
     for (std::size_t s = 0; s < segs.size(); ++s) {
       os << (s == 0 ? "" : " + ") << TextTable::num(segs[s]);
     }

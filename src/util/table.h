@@ -33,7 +33,6 @@ class StackedBarChart {
   StackedBarChart(std::string title, std::vector<std::string> series_names);
 
   void add_bar(std::string label, std::vector<double> segment_values);
-  void set_unit(std::string unit) { unit_ = std::move(unit); }
   void set_width(std::size_t chars) { width_ = chars; }
 
   void render(std::ostream& os) const;
@@ -41,7 +40,6 @@ class StackedBarChart {
 
  private:
   std::string title_;
-  std::string unit_ = "s";
   std::size_t width_ = 60;
   std::vector<std::string> series_;
   std::vector<std::pair<std::string, std::vector<double>>> bars_;

@@ -55,7 +55,6 @@ class GuestMemory {
   /// migration start ("the VMM traverses the whole of the guest's memory").
   void start_dirty_logging();
   void stop_dirty_logging();
-  [[nodiscard]] bool dirty_logging() const { return logging_; }
   [[nodiscard]] Bytes dirty_bytes() const;
 
   /// Removes up to `max_pages` pages from the front of the dirty set and

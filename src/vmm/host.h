@@ -53,7 +53,6 @@ class Host {
   [[nodiscard]] sim::Simulation& simulation() { return *sim_; }
   [[nodiscard]] sim::FlowRouter& router() { return *router_; }
   [[nodiscard]] SharedStorage& storage() { return *storage_; }
-  [[nodiscard]] HotplugTiming& hotplug_timing() { return timing_; }
   [[nodiscard]] MigrationEngine& migration_engine() { return migration_; }
 
   // --- Network wiring ----------------------------------------------------
@@ -71,7 +70,6 @@ class Host {
   /// PCI passthrough as the VMM-bypass technologies in scope).
   void register_hca(const std::string& host_pci_addr, net::IbFabric& fabric,
                     net::NicPort& port, int vf_count = 1);
-  [[nodiscard]] bool has_hca() const { return !hcas_.empty(); }
   [[nodiscard]] bool hca_available(const std::string& host_pci_addr) const;
   [[nodiscard]] net::IbFabric* ib_fabric();
 

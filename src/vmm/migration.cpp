@@ -113,9 +113,7 @@ sim::Task MigrationEngine::migrate(Vm& vm, Host& src, Host& dst, MigrationStats*
     // and blow through max_downtime.
     const double path_rate =
         src.eth_fabric().path_rate(src.eth_attachment(), dst.eth_attachment()->address());
-    const double est_rate =
-        std::min({max_bandwidth, path_rate,
-                  config_.use_rdma ? path_rate : config_.thread_send_rate});
+    const double est_rate = std::min({max_bandwidth, path_rate, config_.send_rate()});
     // est_rate can hit 0 on a partitioned WAN path; treat the estimate as
     // unbounded (keep pre-copying — the drain itself stalls until heal)
     // instead of overflowing Duration.

@@ -14,6 +14,7 @@
 //     final copy and resumes on the destination.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -47,6 +48,12 @@ struct MigrationConfig {
   /// Administrative bandwidth cap (QEMU `migrate_set_speed`); applied on
   /// top of the thread/CPU limits. Infinite by default.
   double max_bandwidth = std::numeric_limits<double>::infinity();
+
+  /// Per-stream send rate, bytes/s: the administrative cap over RDMA, the
+  /// thread's TCP send rate under that cap otherwise.
+  [[nodiscard]] double send_rate() const {
+    return use_rdma ? max_bandwidth : std::min(thread_send_rate, max_bandwidth);
+  }
 };
 
 /// A VM image saved to shared storage (proactive fault tolerance, paper

@@ -435,12 +435,16 @@ TEST(EvacuationPlannerProperty, WaveRatesAreMaxMin) {
     }
     PlannerConfig config;
     config.stream_rate_cap = 20e6 + unit(rng) * 2e8;
-    EvacuationPlanner planner(SiteGraph{}, config);
+    SiteGraph graph;
+    for (const double cap : capacity) {
+      graph.edges.push_back({.rate = cap});
+    }
+    EvacuationPlanner planner(std::move(graph), config);
     std::vector<const std::vector<std::size_t>*> route_ptrs;
     for (const auto& route : routes) {
       route_ptrs.push_back(&route);
     }
-    const std::vector<double> rates = planner.wave_rates(route_ptrs, capacity);
+    const std::vector<double> rates = planner.wave_rates(route_ptrs, {}, {}, 0.0);
 
     ASSERT_EQ(rates.size(), n_streams);
     std::vector<double> load(n_edges, 0.0);

@@ -181,19 +181,22 @@ INSTANTIATE_TEST_SUITE_P(TriggerSteps, RandomTriggerProperty,
 
 // --- WAN failures mid-protocol ----------------------------------------------
 
+// Sites "a" and "b", two Ethernet hosts each, on one 1 Gbps edge.
 FederationConfig eth_only_federation() {
+  TestbedConfig site;
+  site.ib_nodes = 0;
+  site.eth_nodes = 2;
   FederationConfig cfg;
-  cfg.site_a.ib_nodes = 0;
-  cfg.site_a.eth_nodes = 2;
-  cfg.site_b.ib_nodes = 0;
-  cfg.site_b.eth_nodes = 2;
+  cfg.sites = {{"a", site}, {"b", site}};
+  cfg.edges = {{0, 1, {}}};
   return cfg;
 }
 
 // When Federation::settle() returns — WAN schedule phases that must land
 // mid-migration are placed relative to this.
 Duration settle_window(const FederationConfig& cfg) {
-  return cfg.site_a.ib.linkup_time + cfg.site_a.hotplug.attach_ib + Duration::seconds(1.0);
+  const TestbedConfig& site = cfg.sites[0].testbed;
+  return site.ib.linkup_time + site.hotplug.attach_ib + Duration::seconds(1.0);
 }
 
 TEST(FailureInjection, WanPartitionMidMigrationStallsThenCompletesOnHeal) {
@@ -204,15 +207,15 @@ TEST(FailureInjection, WanPartitionMidMigrationStallsThenCompletesOnHeal) {
   // link.
   FederationConfig fcfg = eth_only_federation();
   const Duration t0 = settle_window(fcfg);
-  fcfg.wan.schedule.push_back({.at = t0 + Duration::seconds(7.0), .capacity_factor = 0.0});
-  fcfg.wan.schedule.push_back({.at = t0 + Duration::seconds(37.0), .capacity_factor = 1.0});
+  fcfg.edges[0].wan.schedule = {{.at = t0 + Duration::seconds(7.0), .capacity_factor = 0.0},
+                                {.at = t0 + Duration::seconds(37.0), .capacity_factor = 1.0}};
   Federation fed(fcfg);
 
   vmm::VmSpec spec;
   spec.name = "vm0";
   spec.memory = Bytes::gib(4);
   spec.base_os_footprint = Bytes::mib(512);
-  auto vm = fed.site_a().boot_vm(fed.site_a().eth_host(0), spec, false);
+  auto vm = fed.site(0).boot_vm(fed.site(0).eth_host(0), spec, false);
   vm->memory().write_data(Bytes::zero(), Bytes::gib(2) + Bytes::mib(512));
   fed.settle();
 
@@ -220,16 +223,16 @@ TEST(FailureInjection, WanPartitionMidMigrationStallsThenCompletesOnHeal) {
   // and cannot finish before the +37 s heal.
   vmm::MigrationStats stats;
   fed.sim().spawn([](Federation& f, vmm::Vm& v, vmm::MigrationStats& st) -> sim::Task {
-    co_await f.site_a().eth_host(0).migrate(v, *f.find_host("b:eth0"), &st);
+    co_await f.site(0).eth_host(0).migrate(v, *f.find_host("b:eth0"), &st);
   }(fed, *vm, stats));
 
   bool checked_mid_partition = false;
   fed.sim().spawn([](Federation& f, vmm::Vm& v, vmm::MigrationStats& st,
                      bool& checked) -> sim::Task {
     co_await f.sim().delay(Duration::seconds(22.0));  // inside the partition
-    EXPECT_NEAR(f.wan().current_factor(), 0.0, 1e-12);
+    EXPECT_NEAR(f.wan_link(0).current_factor(), 0.0, 1e-12);
     EXPECT_TRUE(st.in_progress);                     // stalled, not aborted
-    EXPECT_TRUE(f.site_a().eth_host(0).resident(v)); // still on the source
+    EXPECT_TRUE(f.site(0).eth_host(0).resident(v));  // still on the source
     EXPECT_GE(st.wire_bytes, Bytes::mib(256));       // progress before cut
     EXPECT_EQ(st.pause_at, TimePoint::origin());     // not in stop-and-copy
     checked = true;
@@ -239,7 +242,7 @@ TEST(FailureInjection, WanPartitionMidMigrationStallsThenCompletesOnHeal) {
   EXPECT_TRUE(checked_mid_partition);
   EXPECT_FALSE(stats.in_progress);
   EXPECT_TRUE(fed.find_host("b:eth0")->resident(*vm));
-  EXPECT_FALSE(fed.site_a().eth_host(0).resident(*vm));
+  EXPECT_FALSE(fed.site(0).eth_host(0).resident(*vm));
   // Finished only after the heal.
   EXPECT_GT(fed.sim().now().to_seconds(), (t0 + Duration::seconds(37.0)).to_seconds());
   EXPECT_EQ(fed.unconverged_exchange_count(), 0u);
@@ -256,18 +259,19 @@ TEST(FailureInjection, WanRttSpikeDuringMigrationKeepsDowntimeBounded) {
   // called 3 MiB converged at 24 ms and busted the cap.
   FederationConfig fcfg = eth_only_federation();
   const Duration t0 = settle_window(fcfg);
-  fcfg.wan.rtt = Duration::millis(10);
-  fcfg.wan.loss = 0.0001;
+  sim::WanLinkConfig& wan = fcfg.edges[0].wan;
+  wan.rtt = Duration::millis(10);
+  wan.loss = 0.0001;
   // Same capacity factor; only the RTT moves (250 ms => Mathis ~32 MB/s).
-  fcfg.wan.schedule.push_back({.at = t0 + Duration::seconds(9.0), .capacity_factor = 1.0,
-                               .rtt = Duration::millis(250)});
+  wan.schedule.push_back({.at = t0 + Duration::seconds(9.0), .capacity_factor = 1.0,
+                          .rtt = Duration::millis(250)});
   Federation fed(fcfg);
 
   vmm::VmSpec spec;
   spec.name = "vm0";
   spec.memory = Bytes::gib(4);
   spec.base_os_footprint = Bytes::mib(512);
-  auto vm = fed.site_a().boot_vm(fed.site_a().eth_host(0), spec, false);
+  auto vm = fed.site(0).boot_vm(fed.site(0).eth_host(0), spec, false);
   vm->memory().write_data(Bytes::zero(), Bytes::gib(2) + Bytes::mib(512));
   fed.settle();
 
@@ -281,13 +285,13 @@ TEST(FailureInjection, WanRttSpikeDuringMigrationKeepsDowntimeBounded) {
 
   vmm::MigrationStats stats;
   fed.sim().spawn([](Federation& f, vmm::Vm& v, vmm::MigrationStats& st) -> sim::Task {
-    co_await f.site_a().eth_host(0).migrate(v, *f.find_host("b:eth0"), &st);
+    co_await f.site(0).eth_host(0).migrate(v, *f.find_host("b:eth0"), &st);
   }(fed, *vm, stats));
   fed.sim().run();
 
   EXPECT_EQ(stats.rounds, 2);
   EXPECT_LE(stats.downtime,
-            fed.site_a().eth_host(0).migration_engine().config().max_downtime);
+            fed.site(0).eth_host(0).migration_engine().config().max_downtime);
   EXPECT_TRUE(fed.find_host("b:eth0")->resident(*vm));
   EXPECT_FALSE(stats.in_progress);
   EXPECT_EQ(fed.unconverged_exchange_count(), 0u);
@@ -394,6 +398,46 @@ TEST(FailureInjection, PartitionedEdgeWithDetourReroutesEvacuationThroughThirdSi
   EXPECT_GT(landed_on_b, 0);
   const Duration bound = fed.site(0).eth_host(0).migration_engine().config().max_downtime;
   for (const VmOutcome& vm : report.vms) {
+    EXPECT_LE(vm.downtime, bound) << vm.vm;
+  }
+  EXPECT_EQ(fed.unconverged_exchange_count(), 0u);
+}
+
+TEST(FailureInjection, PartitionedOnlyEdgeDefersEvacuationUntilHeal) {
+  // Two sites share one edge, cut before the first wave grants and healed
+  // at +60 s. With no detour, recompute_routes() keeps the dead route, so
+  // every VM is deferred and re-planned on the retry poll, and the fleet
+  // drains only after the heal.
+  Federation fed(eth_only_federation());
+  auto vms = boot_evac_fleet(fed, 3);
+
+  MassEvacuation evac(fed, {});
+  EvacuationReport report;
+  fed.sim().spawn([](Federation& f, MassEvacuation& e, EvacuationReport& r) -> sim::Task {
+    f.wan_link(0).inject_phase(0.0);  // cut a-b before any grant
+    co_await f.sim().delay(Duration::millis(10));
+    co_await e.run(&r);
+  }(fed, evac, report), "evacuation");
+  const TimePoint heal_at = fed.sim().now() + Duration::seconds(60.0);
+  bool checked_mid_partition = false;
+  fed.sim().spawn([](Federation& f, TimePoint heal, bool& checked) -> sim::Task {
+    co_await f.sim().delay(Duration::seconds(30.0));
+    f.recompute_routes();
+    EXPECT_EQ(f.route(0, 1), std::vector<std::size_t>{0});  // dead, but the only one
+    EXPECT_EQ(f.route(1, 0), std::vector<std::size_t>{0});
+    checked = true;
+    co_await f.sim().delay(heal - f.sim().now());
+    f.wan_link(0).inject_phase(1.0);
+  }(fed, heal_at, checked_mid_partition));
+  fed.sim().run();
+
+  EXPECT_TRUE(checked_mid_partition);
+  EXPECT_EQ(report.evacuated, vms.size());
+  EXPECT_GT(report.replans, 0);
+  const Duration bound = fed.site(0).eth_host(0).migration_engine().config().max_downtime;
+  for (const VmOutcome& vm : report.vms) {
+    EXPECT_GT(vm.deferrals, 0) << vm.vm;
+    EXPECT_GT(vm.start_ns, heal_at.count_nanos()) << vm.vm;
     EXPECT_LE(vm.downtime, bound) << vm.vm;
   }
   EXPECT_EQ(fed.unconverged_exchange_count(), 0u);

@@ -754,11 +754,12 @@ sim::Task migrate_and_stamp(sim::Simulation& sim, vmm::Host& src, vmm::Vm& vm, v
 }
 
 FederationConfig small_federation() {
+  TestbedConfig site;
+  site.ib_nodes = 0;
+  site.eth_nodes = 2;
   FederationConfig cfg;
-  cfg.site_a.ib_nodes = 0;
-  cfg.site_a.eth_nodes = 2;
-  cfg.site_b.ib_nodes = 0;
-  cfg.site_b.eth_nodes = 2;
+  cfg.sites = {{"a", site}, {"b", site}};
+  cfg.edges = {{0, 1, {}}};
   return cfg;
 }
 
@@ -770,14 +771,14 @@ struct FederatedRun {
 
 FederatedRun run_cross_site_migration() {
   Federation fed(small_federation());
-  auto& src = fed.site_a().eth_host(0);
+  auto& src = fed.site(0).eth_host(0);
   vmm::Host* dst = fed.find_host("b:eth0");
   EXPECT_NE(dst, nullptr);
   vmm::VmSpec spec;
   spec.name = "vm0";
   spec.memory = Bytes::gib(2);
   spec.base_os_footprint = Bytes::mib(256);
-  auto vm = fed.site_a().boot_vm(src, spec, /*with_hca=*/false);
+  auto vm = fed.site(0).boot_vm(src, spec, /*with_hca=*/false);
   fed.settle();
 
   FederatedRun out;
@@ -798,18 +799,18 @@ FederatedRun run_cross_site_migration() {
 
 TEST(WanFederation, HostsResolveAcrossSitesAndDomainsAreDistinct) {
   Federation fed(small_federation());
-  EXPECT_EQ(fed.find_host("a:eth0"), &fed.site_a().eth_host(0));
-  EXPECT_EQ(fed.find_host("b:eth1"), &fed.site_b().eth_host(1));
+  EXPECT_EQ(fed.find_host("a:eth0"), &fed.site(0).eth_host(0));
+  EXPECT_EQ(fed.find_host("b:eth1"), &fed.site(1).eth_host(1));
   EXPECT_EQ(fed.find_host("c:eth0"), nullptr);
   // The WAN endpoints live one per site zone, in different domains.
-  sim::FluidDomain* da = fed.domain_of(fed.wan().a());
-  sim::FluidDomain* db = fed.domain_of(fed.wan().b());
+  sim::FluidDomain* da = fed.domain_of(fed.wan_link(0).a());
+  sim::FluidDomain* db = fed.domain_of(fed.wan_link(0).b());
   ASSERT_NE(da, nullptr);
   ASSERT_NE(db, nullptr);
   EXPECT_NE(da, db);
   // Both sites' resolvers reach both sites through the federation.
-  EXPECT_EQ(fed.resolver()("a:eth1"), &fed.site_a().eth_host(1));
-  EXPECT_EQ(fed.resolver()("b:eth0"), &fed.site_b().eth_host(0));
+  EXPECT_EQ(fed.resolver()("a:eth1"), &fed.site(0).eth_host(1));
+  EXPECT_EQ(fed.resolver()("b:eth0"), &fed.site(1).eth_host(0));
 }
 
 // The name predates the removal of the solve worker threads.
