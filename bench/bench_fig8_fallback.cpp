@@ -21,7 +21,6 @@
 #include "core/job.h"
 #include "core/ninja.h"
 #include "core/testbed.h"
-#include "util/args.h"
 #include "util/table.h"
 #include "workloads/bcast_reduce.h"
 
@@ -29,29 +28,28 @@ namespace {
 
 using namespace nm;
 
-struct ScenarioParams {
-  int vms = 4;
-  int iterations = 40;
-  std::uint64_t per_node_gib = 8;
-};
+// The paper's job: 4 VMs, 40 bcast+reduce steps of 8 GiB per node.
+constexpr int kVms = 4;
+constexpr int kIterations = 40;
+constexpr std::uint64_t kGibPerNode = 8;
 
 struct ScenarioResult {
   std::vector<double> iter_seconds;
   core::NinjaStats episodes[3];
 };
 
-ScenarioResult run_scenario(std::size_t ranks_per_vm, const ScenarioParams& params) {
+ScenarioResult run_scenario(std::size_t ranks_per_vm) {
   core::Testbed tb;
   core::JobConfig cfg;
   cfg.name = "bcastreduce";
-  cfg.vm_count = params.vms;
+  cfg.vm_count = kVms;
   cfg.ranks_per_vm = ranks_per_vm;
   core::MpiJob job(tb, cfg);
   job.init();
 
   workloads::BcastReduceConfig wcfg;
-  wcfg.per_node_bytes = Bytes::gib(params.per_node_gib);
-  wcfg.iterations = params.iterations;
+  wcfg.per_node_bytes = Bytes::gib(kGibPerNode);
+  wcfg.iterations = kIterations;
   auto bench = std::make_shared<workloads::BcastReduceBench>(job, wcfg);
   job.launch([bench](mpi::RankId me) -> sim::Task { co_await bench->run_rank(me); });
 
@@ -128,27 +126,14 @@ void report(const char* label, const ScenarioResult& r) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const ArgParser args(argc, argv);
-  if (args.has("help")) {
-    std::cout << ArgParser::usage(args.program(),
-                                  {{"vms", "VMs in the job", "4"},
-                                   {"iterations", "bcast+reduce steps", "40"},
-                                   {"gib-per-node", "payload per node in GiB", "8"}});
-    return 0;
-  }
-  ScenarioParams params;
-  params.vms = static_cast<int>(args.get_int("vms", 4));
-  params.iterations = static_cast<int>(args.get_int("iterations", 40));
-  params.per_node_gib = static_cast<std::uint64_t>(args.get_int("gib-per-node", 8));
-
+int main() {
   bench::print_header("Figure 8",
                       "Fallback and recovery migration, bcast+reduce of 8 GB per node, "
                       "40 steps, Ninja at steps 11/21/31");
 
-  const auto r1 = run_scenario(1, params);
+  const auto r1 = run_scenario(1);
   report("a) 1 process / VM", r1);
-  const auto r8 = run_scenario(8, params);
+  const auto r8 = run_scenario(8);
   report("b) 8 processes / VM", r8);
 
   // Cross-run shape checks.

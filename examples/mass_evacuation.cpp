@@ -16,12 +16,12 @@
 // A second scenario rebuilds the mesh with oversubscribed Clos fabrics
 // inside every site (net::ClosFabric; 4:1 at the source) and compares the
 // topology-aware driver — leaf-uplink slots, destination-leaf incast
-// limits, pod spreading — against a topology-blind one that plans as if
-// each site were flat. Blind waves concentrate on the first source racks
-// and realize a fraction of their planned rates, which stretches the
-// makespan; the aware plan's rates are exactly realized. Both modes print
-// their p99 and max per-VM downtime (0.00 ms for both); only the aware run
-// is held to the bound.
+// limits, the least-loaded destination leaf — against a topology-blind
+// one that plans as if each site were flat. Blind waves concentrate on
+// the first source racks and realize a fraction of their planned rates,
+// which stretches the makespan; the aware plan's rates are exactly
+// realized. Both modes print their p99 and max per-VM downtime (0.00 ms
+// for both); only the aware run is held to the bound.
 //
 //   $ ./examples/mass_evacuation [vms_per_host]
 //

@@ -52,8 +52,9 @@ MassEvacuation::MassEvacuation(Federation& fed, EvacuationConfig config)
     : fed_(&fed), config_(std::move(config)) {
   NM_CHECK(config_.source_site < fed.site_count(),
            "evacuation source site " << config_.source_site << " out of range");
-  config_.planner.stream_rate_cap =
-      fed.site(config_.source_site).config().migration.send_rate();
+  const vmm::MigrationConfig& migration = fed.site(config_.source_site).config().migration;
+  config_.planner.stream_rate_cap = migration.send_rate();
+  config_.planner.per_vm_setup = migration.setup_time.to_seconds();
   config_.policies.bind_seed(config_.seed);
 }
 
@@ -88,7 +89,6 @@ plan::SiteGraph MassEvacuation::current_graph(bool nominal) const {
       plan::LeafSpec leaf;
       leaf.name = fed_->site_name(s) + ":leaf" + std::to_string(l);
       leaf.site = s;
-      leaf.pod = clos->pod_of_leaf(l);
       const double cap = clos->leaf_capacity(l, nominal);
       leaf.uplink_rate = cap;
       leaf.downlink_rate = cap;
@@ -246,7 +246,6 @@ sim::Task MassEvacuation::grant_wave(std::vector<Pending> members, int wave_inde
     policy::Observation obs;
     obs.now = sim.now();
     obs.vm_count = site_vms;
-    obs.sites = &live;
     obs.candidates.reserve(hosts.size());
     for (std::size_t h = 0; h < hosts.size(); ++h) {
       policy::HostCandidate cand;
@@ -396,7 +395,6 @@ sim::Task MassEvacuation::run(EvacuationReport* report_out) {
   // --- Deferred VMs: replan against the live mesh until all land (or the
   // mesh is whole and they are still unschedulable — then give up). ------
   while (!deferred.empty()) {
-    ++report.replans;
     plan::SiteGraph live = current_graph(/*nominal=*/false);
     if (config_.topology_blind) {
       live = live.without_leaves();
@@ -441,6 +439,7 @@ sim::Task MassEvacuation::run(EvacuationReport* report_out) {
       co_await sim.delay(kRetryPeriod);
       continue;
     }
+    ++report.replans;
     deferred = std::move(still_deferred);
     for (auto& wave : sub_waves) {
       if (!wave.empty()) {

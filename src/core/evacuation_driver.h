@@ -36,8 +36,9 @@ namespace nm::core {
 struct EvacuationConfig {
   /// Site to evacuate (index into the federation's sites).
   std::size_t source_site = 0;
-  /// The driver overwrites `stream_rate_cap` with the source site's
-  /// per-stream send rate (vmm::MigrationConfig::send_rate()).
+  /// The driver overwrites `stream_rate_cap` and `per_vm_setup` with the
+  /// source site's per-stream send rate (vmm::MigrationConfig::send_rate())
+  /// and migration setup time (vmm::MigrationConfig::setup_time).
   plan::PlannerConfig planner;
   /// Execute the naive-sequential baseline instead of the batched plan.
   bool sequential = false;
@@ -71,7 +72,8 @@ struct EvacuationReport {
   std::int64_t started_ns = 0;
   std::int64_t done_ns = 0;
   int waves = 0;
-  /// Grants that had to re-plan deferred VMs against the live mesh.
+  /// Re-plans of deferred VMs against the live mesh that scheduled at
+  /// least one of them; retry polls that place nothing do not count.
   int replans = 0;
   std::size_t evacuated = 0;
   bool sequential_fallback = false;

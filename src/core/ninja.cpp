@@ -85,22 +85,16 @@ sim::Task run_windows(sim::Simulation& sim, symvirt::Controller& ctl, const Migr
   ctl.quit();
 }
 
-// The kEpisodeStart hook: asks the policy whether/where to migrate, looping
-// on deferral at clocked instants, then expands the plan's candidate list
-// into one destination name per VM. StaticPolicy's empty assignment keeps
-// the historical `destinations[i % size]` round-robin.
+// The kEpisodeStart hook (policy::decide_start) over the plan's candidate
+// names, expanded into one destination name per VM. StaticPolicy's empty
+// assignment keeps the historical `destinations[i % size]` round-robin.
 sim::Task episode_start_hook(sim::Simulation& sim, const policy::PolicySet& policies,
                              const policy::ObservationSource& source, const MigrationPlan& plan,
                              const vmm::Monitor::HostResolver& resolver,
                              std::vector<std::string>& destinations_out) {
-  auto observe = [&] {
-    policy::Observation obs;
-    obs.now = sim.now();
-    if (source.slo) {
-      obs.slo = source.slo();
-    }
-    obs.vm_count = plan.vms.size();
-    obs.candidates.reserve(plan.destinations.size());
+  auto candidates = [&] {
+    std::vector<policy::HostCandidate> out;
+    out.reserve(plan.destinations.size());
     for (const auto& name : plan.destinations) {
       policy::HostCandidate cand;
       cand.name = name;
@@ -110,18 +104,13 @@ sim::Task episode_start_hook(sim::Simulation& sim, const policy::PolicySet& poli
       if (vmm::Host* host = resolver ? resolver(name) : nullptr) {
         cand.resident_vms = static_cast<int>(host->vms().size());
       }
-      obs.candidates.push_back(std::move(cand));
+      out.push_back(std::move(cand));
     }
-    return obs;
+    return out;
   };
-  policy::Action action = policies.decide(policy::Hook::kEpisodeStart, observe());
-  while (action.defer) {
-    co_await sim.delay(action.defer_for > Duration::zero() ? action.defer_for
-                                                           : Duration::millis(100));
-    action = policies.decide(policy::Hook::kEpisodeStart, observe());
-  }
-  const auto picks = policy::resolve_assignment(action, plan.vms.size(),
-                                                plan.destinations.size(), "ninja episode");
+  std::vector<int> picks;
+  co_await policy::decide_start(sim, policies, source, plan.vms.size(), candidates,
+                                "ninja episode", picks);
   destinations_out.clear();
   destinations_out.reserve(picks.size());
   for (const int c : picks) {

@@ -32,30 +32,20 @@ sim::Task ServiceEpisode::run(EpisodeSpec spec) {
 
   // kEpisodeStart: fire-or-defer, and the destination pick among the
   // spec's candidates (StaticPolicy: fire now, keep the primary).
-  auto observe = [this, &spec] {
-    policy::Observation obs;
-    obs.now = sim_->now();
-    if (spec.source.slo) {
-      obs.slo = spec.source.slo();
-    }
-    obs.vm_count = 1;
-    obs.candidates.reserve(spec.candidates.size());
+  auto candidates = [&spec] {
+    std::vector<policy::HostCandidate> out;
+    out.reserve(spec.candidates.size());
     for (const vmm::Host* host : spec.candidates) {
       policy::HostCandidate cand;
       cand.name = host->name();
       cand.resident_vms = static_cast<int>(host->vms().size());
-      obs.candidates.push_back(std::move(cand));
+      out.push_back(std::move(cand));
     }
-    return obs;
+    return out;
   };
-  policy::Action action = spec.policies.decide(policy::Hook::kEpisodeStart, observe());
-  while (action.defer) {
-    co_await sim_->delay(action.defer_for > Duration::zero() ? action.defer_for
-                                                             : Duration::millis(100));
-    action = spec.policies.decide(policy::Hook::kEpisodeStart, observe());
-  }
-  const auto picks = policy::resolve_assignment(action, /*vm_count=*/1,
-                                                spec.candidates.size(), "service episode");
+  std::vector<int> picks;
+  co_await policy::decide_start(*sim_, spec.policies, spec.source, /*vm_count=*/1, candidates,
+                                "service episode", picks);
   vmm::Host* dst = spec.candidates[static_cast<std::size_t>(picks.front())];
 
   auto& src = spec.vm->host();  // resolved at fire time, not scheduling time

@@ -12,9 +12,7 @@ constexpr int kOpBarrier = 0;
 constexpr int kOpBcast = 1;
 constexpr int kOpReduce = 2;
 constexpr int kOpAlltoall = 3;
-constexpr int kOpGather = 4;
-constexpr int kOpScatter = 5;
-constexpr int kOpAllgather = 6;
+// Tags interleave this many op kinds per sequence number.
 constexpr int kOpKinds = 8;
 }  // namespace
 
@@ -159,110 +157,6 @@ sim::Task Communicator::alltoall(RankId me, Bytes bytes_per_pair) {
       co_await runtime_->send(me, peer, tag, bytes_per_pair);
     }
   }
-}
-
-sim::Task Communicator::gather(RankId me, RankId root, Bytes bytes) {
-  const int n = static_cast<int>(members_.size());
-  const int root_idx = index_of(root);
-  const int vr = (index_of(me) - root_idx + n) % n;
-  const int tag = next_tag(me, kOpGather);
-  auto abs_rank = [&](int virtual_rank) {
-    return members_[static_cast<std::size_t>((virtual_rank + root_idx) % n)];
-  };
-  // Mirror of binomial reduce: children fold their subtree's payload into
-  // the parent, so higher tree levels carry more bytes.
-  int mask = 1;
-  std::uint64_t gathered = 1;  // own contribution
-  while (mask < n) {
-    if ((vr & mask) != 0) {
-      co_await runtime_->send(me, abs_rank(vr - mask), tag, Bytes(bytes.count() * gathered));
-      break;
-    }
-    if (vr + mask < n) {
-      co_await runtime_->recv(me, abs_rank(vr + mask), tag);
-      const std::uint64_t subtree =
-          std::min<std::uint64_t>(static_cast<std::uint64_t>(mask),
-                                  static_cast<std::uint64_t>(n - vr - mask));
-      gathered += subtree;
-    }
-    mask <<= 1;
-  }
-  if (vr == 0) {
-    co_await runtime_->progress(me);
-  }
-}
-
-sim::Task Communicator::scatter(RankId me, RankId root, Bytes bytes) {
-  const int n = static_cast<int>(members_.size());
-  const int root_idx = index_of(root);
-  const int vr = (index_of(me) - root_idx + n) % n;
-  const int tag = next_tag(me, kOpScatter);
-  auto abs_rank = [&](int virtual_rank) {
-    return members_[static_cast<std::size_t>((virtual_rank + root_idx) % n)];
-  };
-  // Binomial: each parent forwards its child's whole subtree payload.
-  int mask = 1;
-  while (mask < n) {
-    if ((vr & mask) != 0) {
-      co_await runtime_->recv(me, abs_rank(vr - mask), tag);
-      break;
-    }
-    mask <<= 1;
-  }
-  if (vr == 0) {
-    mask = 1;
-    while (mask < n) {
-      mask <<= 1;
-    }
-    co_await runtime_->progress(me);
-  }
-  mask >>= 1;
-  while (mask > 0) {
-    if (vr + mask < n) {
-      const std::uint64_t subtree =
-          std::min<std::uint64_t>(static_cast<std::uint64_t>(mask),
-                                  static_cast<std::uint64_t>(n - vr - mask));
-      co_await runtime_->send(me, abs_rank(vr + mask), tag, Bytes(bytes.count() * subtree));
-    }
-    mask >>= 1;
-  }
-}
-
-sim::Task Communicator::allgather(RankId me, Bytes bytes) {
-  const int n = static_cast<int>(members_.size());
-  const int vr = index_of(me);
-  const int tag = next_tag(me, kOpAllgather);
-  if (n == 1) {
-    co_await runtime_->progress(me);
-    co_return;
-  }
-  // Ring: step s passes along the block originally owned by (vr - s).
-  const RankId next = members_[static_cast<std::size_t>((vr + 1) % n)];
-  const RankId prev = members_[static_cast<std::size_t>((vr - 1 + n) % n)];
-  for (int step = 0; step < n - 1; ++step) {
-    co_await runtime_->send(me, next, tag, bytes);
-    co_await runtime_->recv(me, prev, tag);
-  }
-}
-
-Communicator Communicator::split(const std::vector<int>& colors, const std::vector<int>& keys,
-                                 int my_color) const {
-  NM_CHECK(colors.size() == members_.size() && keys.size() == members_.size(),
-           "split needs one color and key per member");
-  std::vector<std::pair<std::pair<int, RankId>, RankId>> picked;  // ((key, world), rank)
-  for (std::size_t i = 0; i < members_.size(); ++i) {
-    if (colors[i] == my_color) {
-      picked.push_back({{keys[i], members_[i]}, members_[i]});
-    }
-  }
-  NM_CHECK(!picked.empty(), "split produced an empty communicator for color " << my_color);
-  std::sort(picked.begin(), picked.end());
-  std::vector<RankId> new_members;
-  new_members.reserve(picked.size());
-  for (const auto& [order, member] : picked) {
-    new_members.push_back(member);
-  }
-  return Communicator(*runtime_, std::move(new_members));
 }
 
 }  // namespace nm::mpi

@@ -42,24 +42,6 @@ class Communicator {
   /// `bytes_per_pair` to every other member. FT's global transpose.
   [[nodiscard]] sim::Task alltoall(RankId me, Bytes bytes_per_pair);
 
-  /// Binomial gather of `bytes` from every member to `root` (subtree
-  /// payloads aggregate on the way up, like the real algorithm).
-  [[nodiscard]] sim::Task gather(RankId me, RankId root, Bytes bytes);
-
-  /// Binomial scatter: root distributes `bytes` to each member (subtree
-  /// payloads travel together down the tree).
-  [[nodiscard]] sim::Task scatter(RankId me, RankId root, Bytes bytes);
-
-  /// Ring allgather: after n-1 steps every member holds every
-  /// contribution of `bytes`.
-  [[nodiscard]] sim::Task allgather(RankId me, Bytes bytes);
-
-  /// MPI_Comm_split: members with the same `color` form a new
-  /// communicator, ordered by (key, world rank). Call with identical
-  /// arguments on every member and use the result for the caller's color.
-  [[nodiscard]] Communicator split(const std::vector<int>& colors,
-                                   const std::vector<int>& keys, int my_color) const;
-
  private:
   /// Per-member collective sequence counters. All members call collectives
   /// in the same order, so their counters agree; the counter isolates the

@@ -261,7 +261,6 @@ sim::Task MpiRuntime::progress(RankId me) {
 
 void MpiRuntime::deliver(RankId to, MessageInfo msg) {
   ++messages_delivered_;
-  bytes_delivered_ += msg.bytes;
   unexpected_[static_cast<std::size_t>(to)].push_back(msg);
   rank(to).notify();
   cr_->notify_state_changed();

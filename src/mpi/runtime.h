@@ -174,8 +174,6 @@ class MpiRuntime {
   [[nodiscard]] std::size_t unexpected_count() const;
   /// Total messages delivered since init (algorithm cost assertions).
   [[nodiscard]] std::uint64_t messages_delivered() const { return messages_delivered_; }
-  /// Total payload bytes delivered since init.
-  [[nodiscard]] Bytes bytes_delivered() const { return bytes_delivered_; }
 
  private:
   friend class CrService;
@@ -191,7 +189,6 @@ class MpiRuntime {
   std::vector<std::deque<MessageInfo>> unexpected_;
   std::uint64_t in_flight_ = 0;
   std::uint64_t messages_delivered_ = 0;
-  Bytes bytes_delivered_ = Bytes::zero();
   bool initialized_ = false;
   std::unique_ptr<CrService> cr_;
 };

@@ -22,103 +22,42 @@ namespace {
 
 ClosFabric::ClosFabric(sim::FluidScheduler& scheduler, std::string name, ClosConfig config)
     : name_(std::move(name)), config_(config) {
-  NM_CHECK(config_.enabled(), name_ << ": ClosConfig selects no topology (k == 0, leaves == 0)");
-  if (config_.k > 0) {
-    NM_CHECK(config_.k >= 2 && config_.k % 2 == 0,
-             name_ << ": fat-tree k must be even and >= 2, got " << config_.k);
-    const int half = config_.k / 2;
-    pod_count_ = config_.k;
-    leaf_count_ = config_.k * half;
-    agg_count_ = config_.k * half;
-    top_count_ = half * half;
-    hosts_per_leaf_ = half;
-    uplinks_per_leaf_ = half;
-  } else {
-    NM_CHECK(config_.leaves >= 1 && config_.spines >= 1 && config_.hosts_per_leaf >= 1,
-             name_ << ": leaf-spine shape needs leaves/spines/hosts_per_leaf >= 1");
-    NM_CHECK(config_.leaves_per_pod >= 0, name_ << ": negative leaves_per_pod");
-    pod_count_ = config_.leaves_per_pod > 0
-                     ? (config_.leaves + config_.leaves_per_pod - 1) / config_.leaves_per_pod
-                     : config_.leaves;
-    leaf_count_ = config_.leaves;
-    agg_count_ = 0;
-    top_count_ = config_.spines;
-    hosts_per_leaf_ = config_.hosts_per_leaf;
-    uplinks_per_leaf_ = config_.spines;
-  }
+  NM_CHECK(config_.leaves >= 1 && config_.spines >= 1 && config_.hosts_per_leaf >= 1,
+           name_ << ": leaf-spine shape needs leaves/spines/hosts_per_leaf >= 1");
   NM_CHECK(config_.oversubscription > 0.0, name_ << ": oversubscription must be > 0");
   host_rate_ = config_.host_rate.bytes_per_second();
   NM_CHECK(host_rate_ > 0.0, name_ << ": host_rate must be > 0");
-  uplink_rate_ = config_.uplink_rate.is_zero()
-                     ? hosts_per_leaf_ * host_rate_ /
-                           (uplinks_per_leaf_ * config_.oversubscription)
-                     : config_.uplink_rate.bytes_per_second();
-  core_rate_ = config_.core_rate.is_zero() ? uplink_rate_ : config_.core_rate.bytes_per_second();
+  uplink_rate_ =
+      config_.hosts_per_leaf * host_rate_ / (config_.spines * config_.oversubscription);
 
   Rng ecmp = Rng::stream(config_.seed, "clos/" + name_ + "/ecmp");
   salt_ = ecmp.next_u64();
 
-  // Leaf uplinks first (leaf-major), then (3-tier) core links (pod-major,
-  // aggregation-major). uplink_index/core_index mirror this layout.
-  auto add_link = [this](const std::string& link_name, double rate,
-                         sim::FluidScheduler& sched) { links_.emplace_back(sched, link_name, rate); };
-  for (int leaf = 0; leaf < leaf_count_; ++leaf) {
-    for (int up = 0; up < uplinks_per_leaf_; ++up) {
-      add_link(name_ + ":l" + std::to_string(leaf) + "-u" + std::to_string(up), uplink_rate_,
-               scheduler);
+  // Leaf-major, spine-minor: uplink_index mirrors this layout.
+  for (int leaf = 0; leaf < config_.leaves; ++leaf) {
+    for (int up = 0; up < config_.spines; ++up) {
+      links_.emplace_back(scheduler,
+                          name_ + ":l" + std::to_string(leaf) + "-u" + std::to_string(up),
+                          uplink_rate_);
     }
   }
-  if (three_tier()) {
-    const int half = config_.k / 2;
-    for (int pod = 0; pod < pod_count_; ++pod) {
-      for (int a = 0; a < half; ++a) {
-        for (int j = 0; j < half; ++j) {
-          add_link(name_ + ":p" + std::to_string(pod) + "a" + std::to_string(a) + "-c" +
-                       std::to_string(a * half + j),
-                   core_rate_, scheduler);
-        }
-      }
-    }
-  }
-  NM_LOG_DEBUG("net") << name_ << ": " << (three_tier() ? "fat-tree" : "leaf-spine") << " with "
-                      << leaf_count_ << " leaves, " << top_count_ << " top-tier switches, "
-                      << links_.size() << " links, oversubscription " << oversubscription();
-}
-
-int ClosFabric::pod_of_leaf(int leaf) const {
-  NM_CHECK(leaf >= 0 && leaf < leaf_count_, name_ << ": leaf " << leaf << " out of range");
-  if (three_tier()) {
-    return leaf / (config_.k / 2);
-  }
-  return config_.leaves_per_pod > 0 ? leaf / config_.leaves_per_pod : leaf;
+  NM_LOG_DEBUG("net") << name_ << ": leaf-spine with " << config_.leaves << " leaves, "
+                      << config_.spines << " spines, " << links_.size()
+                      << " links, oversubscription " << oversubscription();
 }
 
 double ClosFabric::oversubscription() const {
-  return hosts_per_leaf_ * host_rate_ / (uplinks_per_leaf_ * uplink_rate_);
+  return config_.hosts_per_leaf * host_rate_ / (config_.spines * uplink_rate_);
 }
 
 double ClosFabric::bisection_bandwidth() const {
-  if (three_tier()) {
-    // k^3/4 aggregation->core links at core_rate_.
-    const double half = config_.k / 2.0;
-    return config_.k * half * half * core_rate_ / 2.0;
-  }
-  return static_cast<double>(leaf_count_) * top_count_ * uplink_rate_ / 2.0;
+  return static_cast<double>(config_.leaves) * config_.spines * uplink_rate_ / 2.0;
 }
 
 std::size_t ClosFabric::uplink_index(int leaf, int up) const {
-  NM_CHECK(leaf >= 0 && leaf < leaf_count_ && up >= 0 && up < uplinks_per_leaf_,
+  NM_CHECK(leaf >= 0 && leaf < config_.leaves && up >= 0 && up < config_.spines,
            name_ << ": uplink (" << leaf << ", " << up << ") out of range");
-  return static_cast<std::size_t>(leaf) * uplinks_per_leaf_ + up;
-}
-
-std::size_t ClosFabric::core_index(int pod, int a, int j) const {
-  const int half = config_.k / 2;
-  NM_CHECK(three_tier() && pod >= 0 && pod < pod_count_ && a >= 0 && a < half && j >= 0 &&
-               j < half,
-           name_ << ": core link (" << pod << ", " << a << ", " << j << ") out of range");
-  return static_cast<std::size_t>(leaf_count_) * uplinks_per_leaf_ +
-         (static_cast<std::size_t>(pod) * half + a) * half + j;
+  return static_cast<std::size_t>(leaf) * config_.spines + up;
 }
 
 const std::string& ClosFabric::link_name(std::size_t link) const { return links_.at(link).name; }
@@ -143,7 +82,7 @@ void ClosFabric::set_link_factor(std::size_t link, double factor) {
 }
 
 void ClosFabric::assign_port(const NicPort& port, int leaf) {
-  NM_CHECK(leaf >= 0 && leaf < leaf_count_,
+  NM_CHECK(leaf >= 0 && leaf < config_.leaves,
            name_ << ": cannot assign " << port.name() << " to leaf " << leaf);
   leaf_by_port_[&port] = leaf;
 }
@@ -159,64 +98,22 @@ std::vector<ClosFabric::Candidate> ClosFabric::candidates(int src_leaf, int dst_
     return out;
   }
   auto alive = [this](std::size_t link) { return links_[link].factor > 0.0; };
-  if (!three_tier()) {
-    out.reserve(static_cast<std::size_t>(top_count_));
-    for (int s = 0; s < top_count_; ++s) {
-      Candidate c;
-      bool ok = true;
-      if (src_leaf != kSpineAttach) {
-        const std::size_t l = uplink_index(src_leaf, s);
-        c.hops.push_back({l, true});
-        ok = ok && alive(l);
-      }
-      if (dst_leaf != kSpineAttach) {
-        const std::size_t l = uplink_index(dst_leaf, s);
-        c.hops.push_back({l, false});
-        ok = ok && alive(l);
-      }
-      c.alive = ok;
-      out.push_back(std::move(c));
+  out.reserve(static_cast<std::size_t>(config_.spines));
+  for (int s = 0; s < config_.spines; ++s) {
+    Candidate c;
+    bool ok = true;
+    if (src_leaf != kSpineAttach) {
+      const std::size_t l = uplink_index(src_leaf, s);
+      c.hops.push_back({l, true});
+      ok = ok && alive(l);
     }
-    return out;
-  }
-  const int half = config_.k / 2;
-  const int src_pod = src_leaf == kSpineAttach ? -1 : pod_of_leaf(src_leaf);
-  const int dst_pod = dst_leaf == kSpineAttach ? -1 : pod_of_leaf(dst_leaf);
-  if (src_pod == dst_pod && src_pod >= 0) {
-    // Same pod: bounce off any of the pod's aggregation switches.
-    for (int a = 0; a < half; ++a) {
-      Candidate c;
-      const std::size_t u = uplink_index(src_leaf, a);
-      const std::size_t d = uplink_index(dst_leaf, a);
-      c.hops = {{u, true}, {d, false}};
-      c.alive = alive(u) && alive(d);
-      out.push_back(std::move(c));
+    if (dst_leaf != kSpineAttach) {
+      const std::size_t l = uplink_index(dst_leaf, s);
+      c.hops.push_back({l, false});
+      ok = ok && alive(l);
     }
-    return out;
-  }
-  // Cross-pod (or gateway at the core tier): a core choice (a, j) pins
-  // the aggregation switch on both sides.
-  for (int a = 0; a < half; ++a) {
-    for (int j = 0; j < half; ++j) {
-      Candidate c;
-      bool ok = true;
-      if (src_leaf != kSpineAttach) {
-        const std::size_t u = uplink_index(src_leaf, a);
-        const std::size_t cu = core_index(src_pod, a, j);
-        c.hops.push_back({u, true});
-        c.hops.push_back({cu, true});
-        ok = ok && alive(u) && alive(cu);
-      }
-      if (dst_leaf != kSpineAttach) {
-        const std::size_t cd = core_index(dst_pod, a, j);
-        const std::size_t d = uplink_index(dst_leaf, a);
-        c.hops.push_back({cd, false});
-        c.hops.push_back({d, false});
-        ok = ok && alive(cd) && alive(d);
-      }
-      c.alive = ok;
-      out.push_back(std::move(c));
-    }
+    c.alive = ok;
+    out.push_back(std::move(c));
   }
   return out;
 }
@@ -282,9 +179,9 @@ double ClosFabric::path_rate(int src_leaf, int dst_leaf) const {
 }
 
 double ClosFabric::leaf_capacity(int leaf, bool nominal) const {
-  NM_CHECK(leaf >= 0 && leaf < leaf_count_, name_ << ": leaf " << leaf << " out of range");
+  NM_CHECK(leaf >= 0 && leaf < config_.leaves, name_ << ": leaf " << leaf << " out of range");
   double sum = 0.0;
-  for (int up = 0; up < uplinks_per_leaf_; ++up) {
+  for (int up = 0; up < config_.spines; ++up) {
     const Link& l = links_[uplink_index(leaf, up)];
     sum += nominal ? l.rate : l.rate * l.factor;
   }

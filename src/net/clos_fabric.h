@@ -1,21 +1,13 @@
-// ClosFabric: a parameterized fat-tree / leaf-spine topology for one
-// site's internal network. The flat seed enclosure models every port on
-// one non-blocking switch; a ClosFabric adds the inter-switch links —
-// leaf uplinks and (for 3-tier fat-trees) aggregation→core links — as
+// ClosFabric: a parameterized 2-tier leaf-spine topology for one site's
+// internal network. The flat seed enclosure models every port on one
+// non-blocking switch; a ClosFabric adds the leaf uplinks as
 // FluidResources, so intra-site oversubscription and destination-leaf
 // incast constrain flows exactly like any other fluid resource.
 //
-// Two parameterizations (ClosConfig):
-//   * k-ary fat-tree (k even): k pods, k/2 leaf (edge) + k/2 aggregation
-//     switches per pod, (k/2)^2 cores, k/2 hosts per leaf. Aggregation
-//     switch a (pod-local index) connects to cores [a*k/2, (a+1)*k/2) —
-//     the canonical wiring, so a core choice pins the whole path.
-//   * explicit 2-tier leaf-spine: `leaves` x `spines` full bipartite,
-//     `hosts_per_leaf` ports per leaf, `leaves_per_pod` grouping for the
-//     planner's pod-spreading heuristic.
-//
-// Uplink rates derive from the configured oversubscription ratio unless
-// given explicitly: uplink = hosts_per_leaf*host_rate/(uplinks*oversub).
+// Shape (ClosConfig): `leaves` x `spines` full bipartite, each leaf one
+// rack of `hosts_per_leaf` ports. The uplink rate derives from the
+// configured oversubscription ratio:
+// uplink = hosts_per_leaf*host_rate/(spines*oversub).
 //
 // Path selection is ECMP-style but deterministic: a salt drawn once from
 // a named util::Rng stream is hashed with the (src leaf, dst leaf) pair
@@ -41,36 +33,23 @@ namespace nm::net {
 class NicPort;
 
 struct ClosConfig {
-  /// 3-tier k-ary fat-tree parameter (even, >= 2). 0 selects the 2-tier
-  /// explicit parameterization below.
-  int k = 0;
-  /// 2-tier leaf-spine shape (used when k == 0).
+  /// Leaf-spine shape.
   int leaves = 0;
   int spines = 1;
   int hosts_per_leaf = 4;
-  /// Pod grouping for 2-tier fabrics (planner destination spreading).
-  /// 0 = every leaf is its own pod.
-  int leaves_per_pod = 0;
   /// Host access-link rate (the NIC line rate of the attached ports).
   Bandwidth host_rate = Bandwidth::gbps(10);
-  /// Per-link leaf→spine (and leaf→aggregation) rate. Zero derives it
-  /// from `oversubscription`.
-  Bandwidth uplink_rate = Bandwidth::zero();
-  /// Per-link aggregation→core rate (3-tier only). Zero copies the
-  /// derived uplink rate, making the upper tiers mutually non-blocking.
-  Bandwidth core_rate = Bandwidth::zero();
   /// Leaf-tier oversubscription ratio: total host bandwidth under a leaf
   /// over total uplink bandwidth out of it. 1.0 = non-blocking.
   double oversubscription = 1.0;
   /// Seed for the ECMP salt stream (named "clos/<name>/ecmp").
   std::uint64_t seed = 1;
 
-  [[nodiscard]] bool enabled() const { return k > 0 || leaves > 0; }
+  [[nodiscard]] bool enabled() const { return leaves > 0; }
 };
 
 /// One directed inter-switch traversal: `link` is a physical link index
-/// (see uplink_index/core_index), `up` true when crossed toward the
-/// spine/core tier.
+/// (see uplink_index), `up` true when crossed toward the spine tier.
 struct ClosHop {
   std::size_t link = 0;
   bool up = true;
@@ -79,7 +58,7 @@ struct ClosHop {
 class ClosFabric {
  public:
   /// A port not assigned to any leaf (a WAN gateway uplink) attaches at
-  /// the top tier: paths to/from it cross only the mapped side's
+  /// the spine tier: paths to/from it cross only the mapped side's
   /// up/down segment.
   static constexpr int kSpineAttach = -1;
 
@@ -88,41 +67,26 @@ class ClosFabric {
   ClosFabric& operator=(const ClosFabric&) = delete;
 
   [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] const ClosConfig& config() const { return config_; }
 
   // --- Shape (closed forms pinned by clos_fabric_test) ---
-  [[nodiscard]] bool three_tier() const { return config_.k > 0; }
-  [[nodiscard]] int leaf_count() const { return leaf_count_; }
-  /// Top-tier switches: spines (2-tier) or cores (3-tier).
-  [[nodiscard]] int top_count() const { return top_count_; }
-  /// Aggregation switches (3-tier), 0 for 2-tier.
-  [[nodiscard]] int agg_count() const { return agg_count_; }
-  [[nodiscard]] int pod_count() const { return pod_count_; }
-  [[nodiscard]] int switch_count() const { return leaf_count_ + agg_count_ + top_count_; }
+  [[nodiscard]] int leaf_count() const { return config_.leaves; }
   /// Physical inter-switch links (each carries one resource per direction).
   [[nodiscard]] std::size_t link_count() const { return links_.size(); }
-  [[nodiscard]] int hosts_per_leaf() const { return hosts_per_leaf_; }
-  [[nodiscard]] int host_ports() const { return leaf_count_ * hosts_per_leaf_; }
-  [[nodiscard]] int uplinks_per_leaf() const { return uplinks_per_leaf_; }
-  [[nodiscard]] int pod_of_leaf(int leaf) const;
+  [[nodiscard]] int hosts_per_leaf() const { return config_.hosts_per_leaf; }
+  [[nodiscard]] int host_ports() const { return config_.leaves * config_.hosts_per_leaf; }
+  [[nodiscard]] int uplinks_per_leaf() const { return config_.spines; }
   [[nodiscard]] double host_rate() const { return host_rate_; }
   [[nodiscard]] double uplink_rate() const { return uplink_rate_; }
-  [[nodiscard]] double core_rate() const { return core_rate_; }
   /// Realized leaf-tier oversubscription ratio.
   [[nodiscard]] double oversubscription() const;
-  /// Half the aggregate top-tier link bandwidth, bytes/s: the classic
+  /// Half the aggregate leaf-spine link bandwidth, bytes/s: the classic
   /// worst-case bisection. host_ports()*host_rate()/2 over this equals
-  /// oversubscription() when the upper tiers are derived (non-blocking
-  /// relative to the leaf tier).
+  /// oversubscription().
   [[nodiscard]] double bisection_bandwidth() const;
 
   // --- Link table ---
-  /// `up`-th uplink of `leaf` (toward spine `up` in 2-tier fabrics,
-  /// toward pod-local aggregation switch `up` in 3-tier ones).
+  /// `up`-th uplink of `leaf` (toward spine `up`).
   [[nodiscard]] std::size_t uplink_index(int leaf, int up) const;
-  /// 3-tier: the `j`-th core link of pod `pod`'s aggregation switch `a`
-  /// (lands on core a*(k/2)+j).
-  [[nodiscard]] std::size_t core_index(int pod, int a, int j) const;
   [[nodiscard]] const std::string& link_name(std::size_t link) const;
   [[nodiscard]] double link_rate(std::size_t link) const;
   [[nodiscard]] double link_factor(std::size_t link) const;
@@ -142,7 +106,7 @@ class ClosFabric {
   // --- Path selection ---
   /// Deterministic ECMP pick for the next flow src_leaf → dst_leaf
   /// (either may be kSpineAttach); advances the fabric's flow sequence.
-  /// Empty when both endpoints sit under the same leaf (or at the top).
+  /// Empty when both endpoints sit under the same leaf (or at the spines).
   [[nodiscard]] std::vector<ClosHop> pick_path(int src_leaf, int dst_leaf);
   /// The pick a given hash key yields, without consuming the sequence.
   [[nodiscard]] std::vector<ClosHop> path_for_key(int src_leaf, int dst_leaf,
@@ -182,15 +146,8 @@ class ClosFabric {
 
   std::string name_;
   ClosConfig config_;
-  int leaf_count_ = 0;
-  int top_count_ = 0;
-  int agg_count_ = 0;
-  int pod_count_ = 0;
-  int hosts_per_leaf_ = 0;
-  int uplinks_per_leaf_ = 0;
   double host_rate_ = 0.0;
   double uplink_rate_ = 0.0;
-  double core_rate_ = 0.0;
   std::uint64_t salt_ = 0;
   std::uint64_t seq_ = 0;
   std::deque<Link> links_;

@@ -642,31 +642,20 @@ Plan EvacuationPlanner::plan_batched(std::size_t src_site, const std::vector<VmT
       src_leaf_slots[l] = uplink_slots(graph_.leaves[l].uplink_rate, config_);
       leaf_in_slots[l] = incast_slots(graph_.leaves[l].downlink_rate, config_);
     }
-    // Destination-leaf pick for one admitted stream to site s: spread
-    // across pods first (fewest wave streams into the pod), then the
-    // least-loaded leaf, then the most free slots.
+    // Destination-leaf pick for one admitted stream to site s: the fewest
+    // wave streams into the leaf, then the most free slots.
     auto pick_dst_leaf = [&](std::size_t s) -> std::size_t {
       std::size_t best_leaf = kNoLeaf;
-      int best_pod_load = 0;
       for (std::size_t l : site_leaves[s]) {
         if (leaf_slots_left[l] <= 0 || leaf_in_streams[l] >= leaf_in_slots[l]) {
           continue;
         }
-        int pod_load = 0;
-        for (std::size_t m : site_leaves[s]) {
-          if (graph_.leaves[m].pod == graph_.leaves[l].pod) {
-            pod_load += leaf_in_streams[m];
-          }
-        }
-        const bool wins =
-            best_leaf == kNoLeaf || pod_load < best_pod_load ||
-            (pod_load == best_pod_load &&
-             (leaf_in_streams[l] < leaf_in_streams[best_leaf] ||
-              (leaf_in_streams[l] == leaf_in_streams[best_leaf] &&
-               leaf_slots_left[l] > leaf_slots_left[best_leaf])));
+        const bool wins = best_leaf == kNoLeaf ||
+                          leaf_in_streams[l] < leaf_in_streams[best_leaf] ||
+                          (leaf_in_streams[l] == leaf_in_streams[best_leaf] &&
+                           leaf_slots_left[l] > leaf_slots_left[best_leaf]);
         if (wins) {
           best_leaf = l;
-          best_pod_load = pod_load;
         }
       }
       return best_leaf;

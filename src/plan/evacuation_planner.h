@@ -16,8 +16,9 @@
 // toward the hosts). A stream then also consumes its rate on the source
 // VM's leaf uplink and the destination leaf's downlink; wave admission
 // respects leaf-uplink stream slots and a destination-leaf incast limit,
-// and destination leaves are spread across pods. When `leaves` is empty
-// the planner behaves exactly as before (WAN edges only).
+// and each stream aims at the destination leaf with the fewest inbound
+// wave streams. When `leaves` is empty the planner behaves exactly as
+// before (WAN edges only).
 //
 // The planner answers three questions, in the shapes studied by "Virtual
 // Machine Migration Planning in Software-Defined Networks" (ordering and
@@ -87,8 +88,6 @@ struct SiteSpec {
 struct LeafSpec {
   std::string name;
   std::size_t site = 0;
-  /// Pod grouping: destination selection spreads incast across pods.
-  int pod = 0;
   /// Aggregate leaf->spine capacity, bytes/s; 0 = every uplink dead.
   double uplink_rate = 0.0;
   /// Aggregate spine->leaf capacity, bytes/s.
@@ -225,7 +224,7 @@ class EvacuationPlanner {
   /// Re-costs another plan's shape (wave membership + destination sites)
   /// under *this* planner's graph: routes are recomputed per wave,
   /// destination leaves are picked the way a topology-blind driver would
-  /// (most free slots, lowest index — no pod spreading, no incast cap),
+  /// (most free slots, lowest index — no load spreading, no incast cap),
   /// and each wave's rates are re-run max-min against the full topology,
   /// leaf capacities included. This is what actually executing a
   /// topology-blind plan against a Clos site costs; plan() folds the

@@ -8,22 +8,6 @@
 
 namespace nm::policy {
 
-std::string_view to_string(Hook hook) {
-  switch (hook) {
-    case Hook::kEpisodeStart:
-      return "episode-start";
-    case Hook::kPreCopyRound:
-      return "pre-copy-round";
-    case Hook::kPauseDecision:
-      return "pause-decision";
-    case Hook::kAdmission:
-      return "admission";
-    case Hook::kWaveGrant:
-      return "wave-grant";
-  }
-  return "?";
-}
-
 PolicySet::PolicySet() {
   // One shared StaticPolicy serves every hook by default, so a
   // default-constructed PolicySet *is* the legacy behavior.
@@ -47,10 +31,6 @@ Policy& PolicySet::at(Hook hook) const {
   return *hooks_[static_cast<std::size_t>(hook)];
 }
 
-std::shared_ptr<Policy> PolicySet::share(Hook hook) const {
-  return hooks_[static_cast<std::size_t>(hook)];
-}
-
 void PolicySet::bind_seed(std::uint64_t seed) const {
   for (const auto& p : hooks_) {
     p->bind_seed(seed);  // idempotent per policy object
@@ -59,19 +39,6 @@ void PolicySet::bind_seed(std::uint64_t seed) const {
 
 Action PolicySet::decide(Hook hook, const Observation& obs) const {
   return at(hook).decide(hook, obs);
-}
-
-std::string PolicySet::describe() const {
-  std::string out;
-  for (int h = 0; h < kHooks; ++h) {
-    if (!out.empty()) {
-      out += ' ';
-    }
-    out += to_string(static_cast<Hook>(h));
-    out += '=';
-    out += hooks_[static_cast<std::size_t>(h)]->name();
-  }
-  return out;
 }
 
 std::vector<int> resolve_assignment(const Action& action, std::size_t vm_count,
@@ -97,6 +64,31 @@ std::vector<int> resolve_assignment(const Action& action, std::size_t vm_count,
     out.push_back(c);
   }
   return out;
+}
+
+sim::Task decide_start(sim::Simulation& sim, const PolicySet& set,
+                       const ObservationSource& source, std::size_t vm_count,
+                       std::function<std::vector<HostCandidate>()> candidates,
+                       std::string_view who, std::vector<int>& picks) {
+  auto observe = [&] {
+    Observation obs;
+    obs.now = sim.now();
+    if (source.slo) {
+      obs.slo = source.slo();
+    }
+    obs.vm_count = vm_count;
+    obs.candidates = candidates();
+    return obs;
+  };
+  Observation obs = observe();
+  Action action = set.decide(Hook::kEpisodeStart, obs);
+  while (action.defer) {
+    co_await sim.delay(action.defer_for > Duration::zero() ? action.defer_for
+                                                           : Duration::millis(100));
+    obs = observe();
+    action = set.decide(Hook::kEpisodeStart, obs);
+  }
+  picks = resolve_assignment(action, vm_count, obs.candidates.size(), who);
 }
 
 vmm::MigrationControl make_migration_control(PolicySet set, ObservationSource source,

@@ -11,7 +11,7 @@
 //   Observation in  — a read-only snapshot assembled at a clocked hook
 //                     point: live vmm::MigrationStats, a per-phase SLO
 //                     digest from the service layer, destination-candidate
-//                     utilization, optionally the plan::SiteGraph mesh.
+//                     utilization.
 //   Action out      — start/defer, a destination assignment, a pre-copy
 //                     bandwidth cap, pause/defer-pause, force stop-and-copy,
 //                     admit/reject. A default-constructed Action always
@@ -36,7 +36,8 @@
 #include <string_view>
 #include <vector>
 
-#include "plan/evacuation_planner.h"
+#include "sim/simulation.h"
+#include "sim/task.h"
 #include "util/rng.h"
 #include "util/units.h"
 #include "vmm/migration.h"
@@ -53,7 +54,6 @@ enum class Hook {
   kWaveGrant,      // evacuation wave grant: destination-host assignment
 };
 inline constexpr int kHooks = 5;
-[[nodiscard]] std::string_view to_string(Hook hook);
 
 /// One migration phase's slice of the service-layer SLO digest.
 struct SloPhaseView {
@@ -113,8 +113,6 @@ struct Observation {
   std::vector<HostCandidate> candidates;
   /// kEpisodeStart / kWaveGrant: how many VMs are being placed.
   std::size_t vm_count = 0;
-  /// Federation capacity view at evacuation hooks (null elsewhere).
-  const plan::SiteGraph* sites = nullptr;
 };
 
 /// What a policy decided. Default-constructed == "keep the legacy
@@ -190,16 +188,12 @@ class PolicySet {
   PolicySet& use(Hook hook, std::shared_ptr<Policy> p);
 
   [[nodiscard]] Policy& at(Hook hook) const;
-  [[nodiscard]] std::shared_ptr<Policy> share(Hook hook) const;
 
   /// Binds every distinct policy's Rng stream (idempotent per policy).
   void bind_seed(std::uint64_t seed) const;
 
   /// Convenience: bind + decide at one hook.
   [[nodiscard]] Action decide(Hook hook, const Observation& obs) const;
-
-  /// "start=static round=slo-throttle pause=quiet-pause ..." for logs.
-  [[nodiscard]] std::string describe() const;
 
  private:
   std::array<std::shared_ptr<Policy>, kHooks> hooks_;
@@ -220,6 +214,16 @@ struct ObservationSource {
                                                   std::size_t vm_count,
                                                   std::size_t candidate_count,
                                                   std::string_view who);
+
+/// The kEpisodeStart loop: asks `set` whether to start an episode placing
+/// `vm_count` VMs, re-asking after every deferral (`defer_for`, or 100 ms
+/// when zero) at clocked instants, then resolves the final Action into
+/// one candidate index per VM in `picks`. `candidates` builds the
+/// destination view afresh for every ask; `source` fills the SLO digest.
+[[nodiscard]] sim::Task decide_start(sim::Simulation& sim, const PolicySet& set,
+                                     const ObservationSource& source, std::size_t vm_count,
+                                     std::function<std::vector<HostCandidate>()> candidates,
+                                     std::string_view who, std::vector<int>& picks);
 
 /// Builds the vmm::MigrationEngine control block that routes the engine's
 /// clocked decision points (per-round cap, pause instant, forced stop)

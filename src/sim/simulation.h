@@ -249,14 +249,10 @@ class Event {
       return;
     }
     set_ = true;
-    auto tokens = std::move(waiters_);
+    auto waiters = std::move(waiters_);
     waiters_.clear();
-    for (auto& tok : tokens) {
-      if (!tok->fired) {
-        tok->fired = true;
-        tok->woken_by_event = true;
-        sim_->post_resume(Duration::zero(), tok->handle);
-      }
+    for (auto h : waiters) {
+      sim_->post_resume(Duration::zero(), h);
     }
   }
 
@@ -267,53 +263,16 @@ class Event {
     struct Awaiter {
       Event& ev;
       [[nodiscard]] bool await_ready() const noexcept { return ev.set_; }
-      void await_suspend(std::coroutine_handle<> h) {
-        auto tok = std::make_shared<WaitToken>();
-        tok->handle = h;
-        ev.waiters_.push_back(std::move(tok));
-      }
+      void await_suspend(std::coroutine_handle<> h) { ev.waiters_.push_back(h); }
       void await_resume() const noexcept {}
     };
     return Awaiter{*this};
   }
 
-  /// Awaitable: suspend until set or until `timeout` elapses; resumes with
-  /// true if the event fired, false on timeout.
-  [[nodiscard]] auto wait_for(Duration timeout) {
-    struct Awaiter {
-      Event& ev;
-      Duration timeout;
-      std::shared_ptr<WaitToken> tok;
-      [[nodiscard]] bool await_ready() const noexcept { return ev.set_; }
-      void await_suspend(std::coroutine_handle<> h) {
-        tok = std::make_shared<WaitToken>();
-        tok->handle = h;
-        ev.waiters_.push_back(tok);
-        ev.sim_->post(timeout, [tok = tok, sim = ev.sim_] {
-          if (!tok->fired) {
-            tok->fired = true;
-            tok->woken_by_event = false;
-            sim->post_resume(Duration::zero(), tok->handle);
-          }
-        });
-      }
-      [[nodiscard]] bool await_resume() const noexcept {
-        return tok == nullptr || tok->woken_by_event;
-      }
-    };
-    return Awaiter{*this, timeout, nullptr};
-  }
-
  private:
-  struct WaitToken {
-    std::coroutine_handle<> handle;
-    bool fired = false;
-    bool woken_by_event = false;
-  };
-
   Simulation* sim_;
   bool set_ = false;
-  std::vector<std::shared_ptr<WaitToken>> waiters_;
+  std::vector<std::coroutine_handle<>> waiters_;
 };
 
 }  // namespace nm::sim

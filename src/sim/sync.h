@@ -1,7 +1,7 @@
 // Synchronization primitives for simulation tasks: Gate (level-triggered),
-// Channel<T> (unbounded mailbox), Semaphore, and Mutex. All wakeups are
-// scheduled through the event queue (never resumed inline), which keeps
-// execution order deterministic.
+// Channel<T> (unbounded mailbox), Semaphore, Barrier and Notifier. All
+// wakeups are scheduled through the event queue (never resumed inline),
+// which keeps execution order deterministic.
 #pragma once
 
 #include <coroutine>
@@ -163,18 +163,6 @@ class Semaphore {
   Simulation* sim_;
   std::size_t count_;
   std::deque<std::coroutine_handle<>> waiters_;
-};
-
-/// Scoped-lock style mutex built on Semaphore.
-class Mutex {
- public:
-  explicit Mutex(Simulation& sim) : sem_(sim, 1) {}
-
-  [[nodiscard]] auto lock() { return sem_.acquire(); }
-  void unlock() { sem_.release(); }
-
- private:
-  Semaphore sem_;
 };
 
 /// Coroutine that joins every task in `refs`.

@@ -1,8 +1,6 @@
-// Small statistics helpers for the benchmark harness and the
-// request-serving workload layer. The paper reports "measured three times
-// and the best is taken"; BestOf mirrors that. LatencyHistogram is the
-// SLO-reporting primitive: fixed log-scale bins, so p50/p99/p999 come out
-// of a bounded footprint without storing samples.
+// LatencyHistogram, the SLO-reporting primitive of the request-serving
+// workload layer: fixed log-scale bins, so p50/p99/p999 come out of a
+// bounded footprint without storing samples.
 #pragma once
 
 #include <algorithm>
@@ -11,87 +9,11 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "util/error.h"
 #include "util/units.h"
 
 namespace nm {
-
-/// Streaming accumulator: min / max / mean / population stddev.
-///
-/// Variance uses Welford's online recurrence, not E[x²]−E[x]². The naive
-/// formula catastrophically cancels for large-offset samples: nanosecond
-/// latencies sit near 1e9–1e12, so E[x²] ~ 1e24 has double granularity
-/// ~1e8 and a genuine variance of a few units vanishes entirely (the old
-/// code clamped the negative result to 0 and reported stddev = 0).
-class Accumulator {
- public:
-  void add(double x) {
-    ++n_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-    min_ = n_ == 1 ? x : std::min(min_, x);
-    max_ = n_ == 1 ? x : std::max(max_, x);
-  }
-
-  [[nodiscard]] std::size_t count() const { return n_; }
-  [[nodiscard]] double min() const {
-    NM_CHECK(n_ > 0, "min of empty accumulator");
-    return min_;
-  }
-  [[nodiscard]] double max() const {
-    NM_CHECK(n_ > 0, "max of empty accumulator");
-    return max_;
-  }
-  [[nodiscard]] double mean() const {
-    NM_CHECK(n_ > 0, "mean of empty accumulator");
-    return mean_;
-  }
-  [[nodiscard]] double stddev() const {
-    NM_CHECK(n_ > 0, "stddev of empty accumulator");
-    return std::sqrt(std::max(0.0, m2_ / static_cast<double>(n_)));
-  }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;  // Σ (x − mean)² so far (Welford)
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
-/// "Each value is measured N times and the best is taken" (paper §IV).
-/// The paper's metrics are durations (smaller is better); throughput
-/// benches (requests per second) must flip the direction or best() would
-/// silently report the *worst* run.
-class BestOf {
- public:
-  enum class Direction { kSmallerIsBetter, kLargerIsBetter };
-
-  explicit BestOf(Direction direction = Direction::kSmallerIsBetter)
-      : direction_(direction) {}
-
-  void add(double x) { values_.push_back(x); }
-  [[nodiscard]] Direction direction() const { return direction_; }
-  [[nodiscard]] double best() const {
-    NM_CHECK(!values_.empty(), "best of zero runs");
-    return direction_ == Direction::kSmallerIsBetter
-               ? *std::min_element(values_.begin(), values_.end())
-               : *std::max_element(values_.begin(), values_.end());
-  }
-  [[nodiscard]] double spread() const {
-    NM_CHECK(!values_.empty(), "spread of zero runs");
-    const auto [lo, hi] = std::minmax_element(values_.begin(), values_.end());
-    return *hi - *lo;
-  }
-  [[nodiscard]] std::size_t count() const { return values_.size(); }
-
- private:
-  Direction direction_;
-  std::vector<double> values_;
-};
 
 /// Fixed-bin log-scale latency histogram (HdrHistogram-style bucketing):
 /// nanosecond values land in 32 sub-buckets per power of two, so every bin

@@ -8,24 +8,6 @@
 
 namespace nm {
 
-void Timeline::begin_span(std::string name, TimePoint at) {
-  open_.push_back(Span{std::move(name), at, at});
-}
-
-void Timeline::end_span(const std::string& name, TimePoint at) {
-  for (auto it = open_.rbegin(); it != open_.rend(); ++it) {
-    if (it->name == name) {
-      Span span = *it;
-      span.end = at;
-      NM_CHECK(span.end >= span.begin, "span '" << name << "' ends before it begins");
-      open_.erase(std::next(it).base());
-      spans_.push_back(std::move(span));
-      return;
-    }
-  }
-  throw LogicError("no open span named '" + name + "'");
-}
-
 void Timeline::add_span(std::string name, TimePoint begin, TimePoint end) {
   NM_CHECK(end >= begin, "span '" << name << "' ends before it begins");
   spans_.push_back(Span{std::move(name), begin, end});

@@ -21,15 +21,10 @@ class Timeline {
     [[nodiscard]] Duration length() const { return end - begin; }
   };
 
-  /// Opens a span; close it with end_span (LIFO not required).
-  void begin_span(std::string name, TimePoint at);
-  /// Closes the most recent open span with this name.
-  void end_span(const std::string& name, TimePoint at);
   /// Records an already-measured span.
   void add_span(std::string name, TimePoint begin, TimePoint end);
 
   [[nodiscard]] const std::vector<Span>& spans() const { return spans_; }
-  [[nodiscard]] std::size_t open_count() const { return open_.size(); }
 
   /// ASCII Gantt: one row per span, proportional bars on a shared axis.
   void render(std::ostream& os, std::size_t width = 60) const;
@@ -37,7 +32,6 @@ class Timeline {
 
  private:
   std::vector<Span> spans_;
-  std::vector<Span> open_;
 };
 
 }  // namespace nm

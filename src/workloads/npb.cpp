@@ -68,53 +68,6 @@ std::vector<NpbSpec> npb_class_d_suite() {
   return {npb_bt_class_d(), npb_cg_class_d(), npb_ft_class_d(), npb_lu_class_d()};
 }
 
-NpbSpec npb_ep_class_d() {
-  NpbSpec spec;
-  spec.name = "EP";
-  spec.pattern = NpbPattern::kAllreduce;
-  spec.iterations = 20;
-  spec.compute_per_iter = 14.0;  // random-number tables: pure compute
-  spec.comm_bytes_per_iter = Bytes::kib(2);
-  spec.messages_per_iter = 1;
-  spec.footprint_per_vm = Bytes::mib(512);  // tiny footprint
-  spec.rewrite_fraction_per_iter = 0.9;
-  return spec;
-}
-
-NpbSpec npb_mg_class_d() {
-  NpbSpec spec;
-  spec.name = "MG";
-  spec.pattern = NpbPattern::kHalo3d;
-  spec.iterations = 50;
-  spec.compute_per_iter = 5.5;
-  spec.comm_bytes_per_iter = Bytes::mib(36);  // faces at several grid levels
-  spec.messages_per_iter = 4;
-  spec.footprint_per_vm = Bytes::gib(7);
-  spec.rewrite_fraction_per_iter = 0.25;
-  return spec;
-}
-
-NpbSpec npb_is_class_d() {
-  NpbSpec spec;
-  spec.name = "IS";
-  spec.pattern = NpbPattern::kAllToAll;
-  spec.iterations = 10;
-  spec.compute_per_iter = 3.0;
-  spec.comm_bytes_per_iter = Bytes::mib(320);  // bucket exchange dominates
-  spec.messages_per_iter = 1;
-  spec.footprint_per_vm = Bytes::gib(8);
-  spec.rewrite_fraction_per_iter = 0.6;
-  return spec;
-}
-
-std::vector<NpbSpec> npb_extended_suite() {
-  auto suite = npb_class_d_suite();
-  suite.push_back(npb_ep_class_d());
-  suite.push_back(npb_mg_class_d());
-  suite.push_back(npb_is_class_d());
-  return suite;
-}
-
 namespace {
 
 constexpr int kNpbTagBase = 100'000;
@@ -209,11 +162,6 @@ sim::Task communicate(core::MpiJob& job, mpi::RankId me, const NpbSpec& spec, in
       const Bytes slice = Bytes(spec.comm_bytes_per_iter.count() /
                                 static_cast<std::uint64_t>(std::max<mpi::RankId>(n - 1, 1)));
       co_await job.world().alltoall(me, slice);
-      break;
-    }
-    case NpbPattern::kAllreduce: {
-      // EP: one small reduction of local statistics per iteration.
-      co_await job.world().allreduce(me, spec.comm_bytes_per_iter, 1e-10);
       break;
     }
     case NpbPattern::kWavefront: {

@@ -21,11 +21,10 @@
 namespace nm::workloads {
 
 enum class NpbPattern {
-  kHalo3d,      // BT, MG: structured nearest-neighbour face exchanges
+  kHalo3d,      // BT: structured nearest-neighbour face exchanges
   kTranspose,   // CG: partner exchanges + allreduce of dot products
-  kAllToAll,    // FT, IS: global transpose / key exchange
+  kAllToAll,    // FT: global transpose
   kWavefront,   // LU: many small pipelined sweeps
-  kAllreduce,   // EP: pure compute + one small reduction per iteration
 };
 
 struct NpbSpec {
@@ -53,12 +52,6 @@ struct NpbSpec {
 [[nodiscard]] NpbSpec npb_lu_class_d();
 /// The four kernels the paper evaluates (Fig 7).
 [[nodiscard]] std::vector<NpbSpec> npb_class_d_suite();
-
-/// Extension kernels beyond the paper's selection.
-[[nodiscard]] NpbSpec npb_ep_class_d();  // embarrassingly parallel
-[[nodiscard]] NpbSpec npb_mg_class_d();  // multigrid V-cycles
-[[nodiscard]] NpbSpec npb_is_class_d();  // integer sort (key all-to-all)
-[[nodiscard]] std::vector<NpbSpec> npb_extended_suite();
 
 struct NpbResult {
   Duration elapsed = Duration::zero();

@@ -1,5 +1,5 @@
 // Property tests for net::ClosFabric: across hundreds of random
-// parameterizations the switch/link counts must match the closed forms,
+// leaf-spine shapes the link counts and rates must match the closed forms,
 // every leaf pair (and gateway attach) must be routed by a structurally
 // valid candidate, the bisection bandwidth must satisfy the
 // oversubscription identity, ECMP picks must be a pure function of
@@ -29,65 +29,20 @@ struct TestBed {
   sim::FluidScheduler sched{sim};
 };
 
-ClosConfig random_two_tier(std::mt19937_64& rng) {
+ClosConfig random_config(std::mt19937_64& rng) {
   ClosConfig cfg;
   cfg.leaves = 1 + static_cast<int>(rng() % 8);
   cfg.spines = 1 + static_cast<int>(rng() % 4);
   cfg.hosts_per_leaf = 1 + static_cast<int>(rng() % 8);
-  cfg.leaves_per_pod = static_cast<int>(rng() % 4);  // 0 = leaf == pod
   const double oversubs[] = {1.0, 2.0, 4.0};
   cfg.oversubscription = oversubs[rng() % 3];
-  if (rng() % 4 == 0) {
-    cfg.uplink_rate = Bandwidth::gbps(25);
-  }
   cfg.seed = rng();
   return cfg;
-}
-
-ClosConfig random_three_tier(std::mt19937_64& rng) {
-  ClosConfig cfg;
-  const int ks[] = {2, 4, 6, 8};
-  cfg.k = ks[rng() % 4];
-  const double oversubs[] = {1.0, 2.0, 4.0};
-  cfg.oversubscription = oversubs[rng() % 3];
-  if (rng() % 4 == 0) {
-    cfg.core_rate = Bandwidth::gbps(40);
-  }
-  cfg.seed = rng();
-  return cfg;
-}
-
-// Decomposed view of one link index against the fabric's layout.
-struct LinkId {
-  bool is_uplink = false;
-  int leaf = -1;  // uplink: owning leaf
-  int up = -1;    // uplink: pod-local slot (spine / aggregation index)
-  int pod = -1;   // core link: pod
-  int a = -1;     // core link: pod-local aggregation switch
-  int j = -1;     // core link: aggregation-local core slot
-};
-
-LinkId decompose(const ClosFabric& fab, std::size_t link) {
-  LinkId id;
-  const std::size_t uplinks =
-      static_cast<std::size_t>(fab.leaf_count()) * fab.uplinks_per_leaf();
-  if (link < uplinks) {
-    id.is_uplink = true;
-    id.leaf = static_cast<int>(link / fab.uplinks_per_leaf());
-    id.up = static_cast<int>(link % fab.uplinks_per_leaf());
-    return id;
-  }
-  const int half = fab.config().k / 2;
-  const std::size_t rem = link - uplinks;
-  id.pod = static_cast<int>(rem / (half * half));
-  id.a = static_cast<int>((rem / half) % half);
-  id.j = static_cast<int>(rem % half);
-  return id;
 }
 
 // Asserts that `path` is a structurally valid src_leaf -> dst_leaf
 // candidate: correct hop count, correct up/down ordering, endpoints on
-// the right leaves, and a consistent spine / aggregation / core choice.
+// the right leaves, and one spine for both legs.
 void check_path(const ClosFabric& fab, int src, int dst, const std::vector<ClosHop>& path) {
   if (src == dst || (src == ClosFabric::kSpineAttach && dst == ClosFabric::kSpineAttach)) {
     EXPECT_TRUE(path.empty()) << "same-leaf pair must not cross the fabric";
@@ -97,147 +52,50 @@ void check_path(const ClosFabric& fab, int src, int dst, const std::vector<ClosH
   for (const ClosHop& hop : path) {
     ASSERT_LT(hop.link, fab.link_count());
   }
-  if (!fab.three_tier()) {
-    int spine = -1;
-    std::size_t i = 0;
-    if (src != ClosFabric::kSpineAttach) {
-      const LinkId id = decompose(fab, path[i].link);
-      EXPECT_TRUE(path[i].up);
-      EXPECT_TRUE(id.is_uplink);
-      EXPECT_EQ(id.leaf, src);
-      spine = id.up;
-      ++i;
-    }
-    if (dst != ClosFabric::kSpineAttach) {
-      ASSERT_LT(i, path.size());
-      const LinkId id = decompose(fab, path[i].link);
-      EXPECT_FALSE(path[i].up);
-      EXPECT_TRUE(id.is_uplink);
-      EXPECT_EQ(id.leaf, dst);
-      if (spine >= 0) {
-        EXPECT_EQ(id.up, spine) << "both legs must use the same spine";
-      }
-      ++i;
-    }
-    EXPECT_EQ(i, path.size());
-    return;
-  }
-  const int src_pod = src == ClosFabric::kSpineAttach ? -1 : fab.pod_of_leaf(src);
-  const int dst_pod = dst == ClosFabric::kSpineAttach ? -1 : fab.pod_of_leaf(dst);
-  if (src_pod == dst_pod && src_pod >= 0) {
-    // Same pod: bounce off one shared aggregation switch.
-    ASSERT_EQ(path.size(), 2u);
-    const LinkId up = decompose(fab, path[0].link);
-    const LinkId down = decompose(fab, path[1].link);
-    EXPECT_TRUE(path[0].up);
-    EXPECT_FALSE(path[1].up);
-    EXPECT_TRUE(up.is_uplink);
-    EXPECT_TRUE(down.is_uplink);
-    EXPECT_EQ(up.leaf, src);
-    EXPECT_EQ(down.leaf, dst);
-    EXPECT_EQ(up.up, down.up) << "intra-pod path must pivot on one aggregation switch";
-    return;
-  }
-  // Cross-pod or gateway: the core choice (a, j) pins both sides.
-  int agg = -1;
-  int core_j = -1;
+  // Link l is uplink (l % spines) of leaf (l / spines).
+  const auto spines = static_cast<std::size_t>(fab.uplinks_per_leaf());
+  int spine = -1;
   std::size_t i = 0;
   if (src != ClosFabric::kSpineAttach) {
-    ASSERT_GE(path.size(), 2u);
-    const LinkId up = decompose(fab, path[0].link);
-    const LinkId cu = decompose(fab, path[1].link);
-    EXPECT_TRUE(path[0].up);
-    EXPECT_TRUE(path[1].up);
-    EXPECT_TRUE(up.is_uplink);
-    EXPECT_FALSE(cu.is_uplink);
-    EXPECT_EQ(up.leaf, src);
-    EXPECT_EQ(cu.pod, src_pod);
-    EXPECT_EQ(cu.a, up.up) << "core leg must leave the aggregation switch the uplink entered";
-    agg = cu.a;
-    core_j = cu.j;
-    i = 2;
+    EXPECT_TRUE(path[i].up);
+    EXPECT_EQ(static_cast<int>(path[i].link / spines), src);
+    spine = static_cast<int>(path[i].link % spines);
+    ++i;
   }
   if (dst != ClosFabric::kSpineAttach) {
-    ASSERT_EQ(path.size(), i + 2);
-    const LinkId cd = decompose(fab, path[i].link);
-    const LinkId down = decompose(fab, path[i + 1].link);
+    ASSERT_LT(i, path.size());
     EXPECT_FALSE(path[i].up);
-    EXPECT_FALSE(path[i + 1].up);
-    EXPECT_FALSE(cd.is_uplink);
-    EXPECT_TRUE(down.is_uplink);
-    EXPECT_EQ(cd.pod, dst_pod);
-    EXPECT_EQ(down.leaf, dst);
-    EXPECT_EQ(down.up, cd.a);
-    if (agg >= 0) {
-      // Same physical core switch on both sides of the spine tier.
-      EXPECT_EQ(cd.a, agg);
-      EXPECT_EQ(cd.j, core_j);
+    EXPECT_EQ(static_cast<int>(path[i].link / spines), dst);
+    if (spine >= 0) {
+      EXPECT_EQ(static_cast<int>(path[i].link % spines), spine)
+          << "both legs must use the same spine";
     }
-  } else {
-    EXPECT_EQ(path.size(), i);
+    ++i;
   }
+  EXPECT_EQ(i, path.size());
 }
 
 TEST(ClosFabric, RandomShapesMatchClosedForms) {
   std::mt19937_64 rng(20260808);
   for (int iter = 0; iter < 500; ++iter) {
-    const bool three_tier = iter % 3 == 2;
-    const ClosConfig cfg = three_tier ? random_three_tier(rng) : random_two_tier(rng);
+    const ClosConfig cfg = random_config(rng);
     TestBed tb;
     ClosFabric fab(tb.sched, "clos" + std::to_string(iter), cfg);
     const double host_rate = cfg.host_rate.bytes_per_second();
-    if (three_tier) {
-      const int half = cfg.k / 2;
-      EXPECT_EQ(fab.pod_count(), cfg.k);
-      EXPECT_EQ(fab.leaf_count(), cfg.k * half);
-      EXPECT_EQ(fab.agg_count(), cfg.k * half);
-      EXPECT_EQ(fab.top_count(), half * half);
-      EXPECT_EQ(fab.hosts_per_leaf(), half);
-      EXPECT_EQ(fab.uplinks_per_leaf(), half);
-      EXPECT_EQ(fab.switch_count(), cfg.k * half + cfg.k * half + half * half);
-      // k^3/4 leaf uplinks + k^3/4 aggregation->core links.
-      EXPECT_EQ(fab.link_count(), static_cast<std::size_t>(2 * cfg.k * half * half));
-      EXPECT_EQ(fab.host_ports(), cfg.k * half * half);
-      EXPECT_DOUBLE_EQ(fab.uplink_rate(), half * host_rate / (half * cfg.oversubscription));
-      const double want_core = cfg.core_rate.is_zero() ? fab.uplink_rate()
-                                                       : cfg.core_rate.bytes_per_second();
-      EXPECT_DOUBLE_EQ(fab.core_rate(), want_core);
-      EXPECT_DOUBLE_EQ(fab.bisection_bandwidth(),
-                       cfg.k * half * half * fab.core_rate() / 2.0);
-      for (int leaf = 0; leaf < fab.leaf_count(); ++leaf) {
-        EXPECT_EQ(fab.pod_of_leaf(leaf), leaf / half);
-      }
-    } else {
-      EXPECT_EQ(fab.leaf_count(), cfg.leaves);
-      EXPECT_EQ(fab.top_count(), cfg.spines);
-      EXPECT_EQ(fab.agg_count(), 0);
-      EXPECT_EQ(fab.switch_count(), cfg.leaves + cfg.spines);
-      EXPECT_EQ(fab.uplinks_per_leaf(), cfg.spines);
-      EXPECT_EQ(fab.link_count(), static_cast<std::size_t>(cfg.leaves) * cfg.spines);
-      EXPECT_EQ(fab.host_ports(), cfg.leaves * cfg.hosts_per_leaf);
-      const int want_pods = cfg.leaves_per_pod > 0
-                                ? (cfg.leaves + cfg.leaves_per_pod - 1) / cfg.leaves_per_pod
-                                : cfg.leaves;
-      EXPECT_EQ(fab.pod_count(), want_pods);
-      if (cfg.uplink_rate.is_zero()) {
-        EXPECT_DOUBLE_EQ(fab.uplink_rate(), cfg.hosts_per_leaf * host_rate /
-                                                (cfg.spines * cfg.oversubscription));
-      } else {
-        EXPECT_DOUBLE_EQ(fab.uplink_rate(), cfg.uplink_rate.bytes_per_second());
-      }
-      EXPECT_DOUBLE_EQ(fab.bisection_bandwidth(),
-                       static_cast<double>(cfg.leaves) * cfg.spines * fab.uplink_rate() / 2.0);
-    }
+    EXPECT_EQ(fab.leaf_count(), cfg.leaves);
+    EXPECT_EQ(fab.uplinks_per_leaf(), cfg.spines);
+    EXPECT_EQ(fab.link_count(), static_cast<std::size_t>(cfg.leaves) * cfg.spines);
+    EXPECT_EQ(fab.host_ports(), cfg.leaves * cfg.hosts_per_leaf);
+    EXPECT_DOUBLE_EQ(fab.uplink_rate(),
+                     cfg.hosts_per_leaf * host_rate / (cfg.spines * cfg.oversubscription));
+    EXPECT_DOUBLE_EQ(fab.bisection_bandwidth(),
+                     static_cast<double>(cfg.leaves) * cfg.spines * fab.uplink_rate() / 2.0);
     // The oversubscription identity: host-tier half-bandwidth over the
-    // bisection equals the realized leaf-tier oversubscription whenever
-    // the upper tiers are non-blocking relative to the leaf tier (always
-    // for derived rates).
-    if ((three_tier && cfg.core_rate.is_zero()) || (!three_tier && cfg.uplink_rate.is_zero())) {
-      const double half_host_bw = fab.host_ports() * host_rate / 2.0;
-      EXPECT_NEAR(half_host_bw / fab.bisection_bandwidth(), fab.oversubscription(),
-                  1e-9 * fab.oversubscription());
-      EXPECT_NEAR(fab.oversubscription(), cfg.oversubscription, 1e-9 * cfg.oversubscription);
-    }
+    // bisection equals the realized leaf-tier oversubscription.
+    const double half_host_bw = fab.host_ports() * host_rate / 2.0;
+    EXPECT_NEAR(half_host_bw / fab.bisection_bandwidth(), fab.oversubscription(),
+                1e-9 * fab.oversubscription());
+    EXPECT_NEAR(fab.oversubscription(), cfg.oversubscription, 1e-9 * cfg.oversubscription);
     // Nominal leaf capacity is the sum of its uplinks.
     for (int leaf = 0; leaf < fab.leaf_count(); ++leaf) {
       EXPECT_DOUBLE_EQ(fab.leaf_capacity(leaf, /*nominal=*/true),
@@ -261,8 +119,7 @@ TEST(ClosFabric, RandomShapesMatchClosedForms) {
 TEST(ClosFabric, EveryLeafPairHasValidPaths) {
   std::mt19937_64 rng(987654321);
   for (int iter = 0; iter < 60; ++iter) {
-    const bool three_tier = iter % 2 == 1;
-    const ClosConfig cfg = three_tier ? random_three_tier(rng) : random_two_tier(rng);
+    const ClosConfig cfg = random_config(rng);
     TestBed tb;
     ClosFabric fab(tb.sched, "paths" + std::to_string(iter), cfg);
     std::vector<int> endpoints{ClosFabric::kSpineAttach};
@@ -279,8 +136,7 @@ TEST(ClosFabric, EveryLeafPairHasValidPaths) {
             (src == ClosFabric::kSpineAttach && dst == ClosFabric::kSpineAttach)) {
           EXPECT_TRUE(std::isinf(rate)) << "no fabric crossing means no fabric bottleneck";
         } else {
-          EXPECT_GT(rate, 0.0);
-          EXPECT_LE(rate, std::max(fab.uplink_rate(), fab.core_rate()) + 1e-9);
+          EXPECT_DOUBLE_EQ(rate, fab.uplink_rate());
         }
         // pick_path consumes sequence numbers but must keep structure.
         check_path(fab, src, dst, fab.pick_path(src, dst));

@@ -105,7 +105,6 @@ Case random_case(std::mt19937& rng, bool with_schedules, bool with_leaves = fals
         LeafSpec leaf;
         leaf.name = std::to_string(s) + "." + std::to_string(l);
         leaf.site = s;
-        leaf.pod = static_cast<int>(rng() % 2);
         leaf.uplink_rate = unit(rng) < 0.08 ? 0.0 : rate_dist(rng);
         leaf.downlink_rate = unit(rng) < 0.08 ? 0.0 : rate_dist(rng);
         leaf.free_vm_slots = s == c.src ? 0 : static_cast<int>(rng() % 26);

@@ -517,33 +517,6 @@ TEST(Event, WaitOnSetEventIsImmediate) {
   EXPECT_DOUBLE_EQ(stamp, 0.0);
 }
 
-TEST(Event, WaitForTimesOut) {
-  Simulation sim;
-  Event ev(sim);
-  bool got_event = true;
-  sim.spawn([](Event& e, bool& got) -> Task {
-    got = co_await e.wait_for(Duration::seconds(1.0));
-  }(ev, got_event));
-  sim.run();
-  EXPECT_FALSE(got_event);
-  EXPECT_DOUBLE_EQ(sim.now().to_seconds(), 1.0);
-}
-
-TEST(Event, WaitForSignaledBeforeTimeout) {
-  Simulation sim;
-  Event ev(sim);
-  bool got_event = false;
-  double stamp = -1;
-  sim.spawn([](Simulation& s, Event& e, bool& got, double& t) -> Task {
-    got = co_await e.wait_for(Duration::seconds(10.0));
-    t = s.now().to_seconds();
-  }(sim, ev, got_event, stamp));
-  sim.post(Duration::seconds(2.0), [&] { ev.set(); });
-  sim.run();
-  EXPECT_TRUE(got_event);
-  EXPECT_DOUBLE_EQ(stamp, 2.0);
-}
-
 TEST(Gate, ClosedGateParksUntilOpen) {
   Simulation sim;
   Gate gate(sim, /*initially_open=*/false);
@@ -660,27 +633,6 @@ TEST(Semaphore, LimitsConcurrency) {
   sim.run();
   EXPECT_EQ(peak, 2);
   EXPECT_DOUBLE_EQ(sim.now().to_seconds(), 3.0);  // 6 jobs, 2 wide, 1s each
-}
-
-TEST(Mutex, MutualExclusion) {
-  Simulation sim;
-  Mutex mu(sim);
-  bool inside = false;
-  bool violated = false;
-  for (int i = 0; i < 4; ++i) {
-    sim.spawn([](Simulation& s, Mutex& m, bool& in, bool& bad) -> Task {
-      co_await m.lock();
-      if (in) {
-        bad = true;
-      }
-      in = true;
-      co_await s.delay(Duration::millis(100));
-      in = false;
-      m.unlock();
-    }(sim, mu, inside, violated));
-  }
-  sim.run();
-  EXPECT_FALSE(violated);
 }
 
 TEST(JoinAll, WaitsForEveryTask) {

@@ -1,4 +1,4 @@
-// Tests for logging, error checking, RNG streams, stats, and table/chart
+// Tests for logging, error checking, RNG streams, and table/chart
 // rendering.
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 #include "util/error.h"
 #include "util/log.h"
 #include "util/rng.h"
-#include "util/stats.h"
 #include "util/table.h"
 #include "util/units.h"
 
@@ -133,65 +132,6 @@ TEST(Rng, NextBelowPinnedSequence) {
   }
   // Degenerate bound: n == 1 never rejects and always returns 0.
   EXPECT_EQ(r.next_below(1), 0u);
-}
-
-TEST(Accumulator, Moments) {
-  Accumulator acc;
-  for (const double x : {1.0, 2.0, 3.0, 4.0}) {
-    acc.add(x);
-  }
-  EXPECT_EQ(acc.count(), 4u);
-  EXPECT_DOUBLE_EQ(acc.min(), 1.0);
-  EXPECT_DOUBLE_EQ(acc.max(), 4.0);
-  EXPECT_DOUBLE_EQ(acc.mean(), 2.5);
-  EXPECT_NEAR(acc.stddev(), 1.1180339887, 1e-9);
-}
-
-TEST(Accumulator, EmptyThrows) {
-  Accumulator acc;
-  EXPECT_THROW((void)acc.mean(), LogicError);
-}
-
-TEST(Accumulator, StddevSurvivesLargeOffsets) {
-  // Regression for catastrophic cancellation: the old E[x^2] - E[x]^2
-  // formula returns 0.0 for these samples (the true variance, 1.25, is far
-  // below one ulp of E[x^2] ~ 1e24). Welford's recurrence keeps full
-  // precision regardless of the offset.
-  Accumulator acc;
-  for (const double x : {1e12 + 0.0, 1e12 + 1.0, 1e12 + 2.0, 1e12 + 3.0}) {
-    acc.add(x);
-  }
-  EXPECT_NEAR(acc.stddev(), 1.1180339887, 1e-6);
-  // And the offset itself is untouched.
-  EXPECT_DOUBLE_EQ(acc.mean(), 1e12 + 1.5);
-}
-
-TEST(BestOf, TakesMinimumLikeThePaper) {
-  BestOf b;
-  b.add(10.5);
-  b.add(9.8);
-  b.add(10.1);
-  EXPECT_DOUBLE_EQ(b.best(), 9.8);
-  EXPECT_NEAR(b.spread(), 0.7, 1e-12);
-  EXPECT_EQ(b.count(), 3u);
-}
-
-TEST(BestOf, DirectionSelectsMaximumForThroughput) {
-  // Regression for the direction bug: best-of-N over a *throughput* metric
-  // must take the maximum; the old implementation always took the minimum,
-  // silently reporting the worst run as the best.
-  BestOf b(BestOf::Direction::kLargerIsBetter);
-  b.add(120.0);
-  b.add(150.0);
-  b.add(135.0);
-  EXPECT_DOUBLE_EQ(b.best(), 150.0);
-  EXPECT_NEAR(b.spread(), 30.0, 1e-12);
-  // Default stays smaller-is-better (latency), as every existing call
-  // site assumes.
-  BestOf lat;
-  lat.add(2.0);
-  lat.add(1.0);
-  EXPECT_DOUBLE_EQ(lat.best(), 1.0);
 }
 
 TEST(TextTable, RendersAlignedColumns) {

@@ -1,6 +1,6 @@
 // Tests for resource-utilization accounting (the paper's §V observation
-// that migration saturates exactly one core), the extension NPB kernels,
-// and bit-level determinism of full scenarios.
+// that migration saturates exactly one core) and bit-level determinism of
+// full scenarios.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -86,32 +86,6 @@ TEST(Utilization, RdmaMigrationUsesFarLessCpu) {
   }
   // RDMA still pays the page scan, but not the per-byte TCP send cost.
   EXPECT_LT(rdma_cores, tcp_cores * 0.55);
-}
-
-TEST(NpbExtended, EpMgIsKernelsComplete) {
-  for (const auto& base : {workloads::npb_ep_class_d(), workloads::npb_mg_class_d(),
-                           workloads::npb_is_class_d()}) {
-    workloads::NpbSpec spec = base;
-    spec.iterations = 2;
-    spec.compute_per_iter = 0.2;
-    spec.footprint_per_vm = Bytes::gib(1);
-    Testbed tb;
-    JobConfig cfg;
-    cfg.vm_count = 4;
-    cfg.ranks_per_vm = 2;
-    cfg.vm_template.memory = Bytes::gib(4);
-    cfg.vm_template.base_os_footprint = Bytes::mib(512);
-    MpiJob job(tb, cfg);
-    job.init();
-    workloads::NpbResult r0;
-    job.launch([&job, spec, &r0](mpi::RankId me) -> sim::Task {
-      co_await workloads::run_npb_rank(job, me, spec, me == 0 ? &r0 : nullptr);
-    });
-    tb.sim().run();
-    EXPECT_EQ(r0.iterations_done, 2) << spec.name;
-    EXPECT_EQ(job.runtime().unexpected_count(), 0u) << spec.name;
-  }
-  EXPECT_EQ(workloads::npb_extended_suite().size(), 7u);
 }
 
 std::vector<double> run_deterministic_scenario() {

@@ -28,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "max_min_oracle.h"
 #include "core/evacuation_driver.h"
 #include "core/federation.h"
 #include "scenarios/evacuation.h"
@@ -46,77 +47,8 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// --- Brute-force reference max-min solver (as in fluid_crossdomain_test) ----
-
-struct RefFlow {
-  std::vector<std::size_t> res;
-  std::vector<double> weight;
-  double cap = kInf;  // 0 when suspended
-};
-
-std::vector<double> reference_rates(const std::vector<double>& capacity,
-                                    const std::vector<RefFlow>& flows) {
-  const std::size_t f_count = flows.size();
-  std::vector<double> rate(f_count, 0.0);
-  std::vector<bool> frozen(f_count, false);
-  std::size_t left = f_count;
-  while (left > 0) {
-    std::vector<double> residual = capacity;
-    std::vector<double> wsum(capacity.size(), 0.0);
-    std::vector<std::size_t> unfrozen(capacity.size(), 0);
-    for (std::size_t f = 0; f < f_count; ++f) {
-      for (std::size_t s = 0; s < flows[f].res.size(); ++s) {
-        if (frozen[f]) {
-          residual[flows[f].res[s]] -= rate[f] * flows[f].weight[s];
-        } else {
-          wsum[flows[f].res[s]] += flows[f].weight[s];
-          ++unfrozen[flows[f].res[s]];
-        }
-      }
-    }
-    double bound = kInf;
-    for (std::size_t r = 0; r < capacity.size(); ++r) {
-      if (unfrozen[r] > 0 && wsum[r] > 0.0) {
-        bound = std::min(bound, std::max(0.0, residual[r]) / wsum[r]);
-      }
-    }
-    for (std::size_t f = 0; f < f_count; ++f) {
-      if (!frozen[f]) {
-        bound = std::min(bound, flows[f].cap);
-      }
-    }
-    if (!std::isfinite(bound)) {
-      ADD_FAILURE() << "reference solver found no finite bound";
-      return rate;
-    }
-    std::vector<bool> binding(capacity.size(), false);
-    for (std::size_t r = 0; r < capacity.size(); ++r) {
-      binding[r] = unfrozen[r] > 0 && wsum[r] > 0.0 &&
-                   std::max(0.0, residual[r]) / wsum[r] <= bound * (1.0 + 1e-12);
-    }
-    bool progress = false;
-    for (std::size_t f = 0; f < f_count; ++f) {
-      if (frozen[f]) {
-        continue;
-      }
-      bool freeze = flows[f].cap <= bound * (1.0 + 1e-12);
-      for (std::size_t s = 0; !freeze && s < flows[f].res.size(); ++s) {
-        freeze = binding[flows[f].res[s]];
-      }
-      if (freeze) {
-        rate[f] = std::min(bound, flows[f].cap);
-        frozen[f] = true;
-        --left;
-        progress = true;
-      }
-    }
-    if (!progress) {
-      ADD_FAILURE() << "reference solver stalled";
-      return rate;
-    }
-  }
-  return rate;
-}
+using oracle::reference_rates;
+using oracle::RefFlow;
 
 // --- Topology description: two sites plus a WAN endpoint pair ---------------
 
