@@ -23,6 +23,7 @@
 #include "sim/fluid.h"
 #include "sim/fluid_net.h"
 #include "sim/simulation.h"
+#include "sim/sync.h"
 #include "sim/task.h"
 #include "util/interval_map.h"
 #include "workloads/bcast_reduce.h"
@@ -276,6 +277,54 @@ void BM_FluidTimerRearm(benchmark::State& state) {
   state.counters["pending_peak"] = benchmark::Counter(static_cast<double>(pending_peak));
 }
 BENCHMARK(BM_FluidTimerRearm);
+
+// Wake-up churn of the coordination primitives the MPI stack runs on: two
+// long-lived tasks ping-pong through two Notifiers and then meet at a
+// 2-party Barrier, once per simulated microsecond. A round dispatches four
+// resumptions (the pinger's timer, the ping, the pong and the barrier
+// release); waiters are woken in place and task frames come from the frame
+// pool, so once warm a round allocates nothing.
+void BM_WakeCycle(benchmark::State& state) {
+  sim::Simulation sim;
+  sim::Notifier ping(sim);
+  sim::Notifier pong(sim);
+  sim::Barrier barrier(sim, 2);
+  const Duration round = Duration::micros(1);
+  // The ponger is spawned first, so it parks on `ping` before the first
+  // round; each barrier release resumes it in time to park again.
+  sim.spawn([](sim::Notifier& ping, sim::Notifier& pong, sim::Barrier& barrier) -> sim::Task {
+    while (true) {
+      co_await ping.wait();
+      pong.notify_all();
+      co_await barrier.arrive_and_wait();
+    }
+  }(ping, pong, barrier));
+  sim.spawn([](sim::Simulation& s, sim::Notifier& ping, sim::Notifier& pong, sim::Barrier& barrier,
+               Duration round) -> sim::Task {
+    while (true) {
+      co_await s.delay(round);
+      ping.notify_all();
+      co_await pong.wait();
+      co_await barrier.arrive_and_wait();
+    }
+  }(sim, ping, pong, barrier, round));
+  for (int i = 0; i < 64; ++i) {  // warm the queue, the waiter lists and the frame pool
+    sim.run_for(round);
+  }
+  std::int64_t events = 0;
+  g_alloc_count.store(0, std::memory_order_relaxed);
+  for (auto _ : state) {
+    g_count_allocs.store(true, std::memory_order_relaxed);
+    sim.run_for(round);
+    g_count_allocs.store(false, std::memory_order_relaxed);
+    events += 4;
+  }
+  state.SetItemsProcessed(events);
+  state.counters["allocs_per_event"] =
+      benchmark::Counter(static_cast<double>(g_alloc_count.load(std::memory_order_relaxed)) /
+                         static_cast<double>(std::max<std::int64_t>(events, 1)));
+}
+BENCHMARK(BM_WakeCycle);
 
 // Exchange-aware batching guard: a depth-D domain chain with a tight head
 // resource, slack middle resources soaked by local load, and one boundary

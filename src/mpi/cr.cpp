@@ -43,16 +43,9 @@ sim::Task CrService::wait_complete(std::uint64_t gen) {
   }
 }
 
-sim::Task CrService::service_if_pending(Rank& rank) {
-  // Participate at most once per request: after this rank finishes its
-  // part it may re-enter the library while slower ranks are still inside.
-  if (pending_ && rank.cr_generation < requested_generation_) {
-    rank.cr_generation = requested_generation_;
-    co_await service(rank);
-  }
-}
-
 sim::Task CrService::service(Rank& rank) {
+  NM_CHECK(owes(rank), "rank " << rank.id() << " has no pending checkpoint request to join");
+  rank.cr_generation = requested_generation_;
   ++in_service_;
   NM_LOG_TRACE("crcp") << "rank " << rank.id() << " entered service (" << in_service_ << "/"
                        << rank_count_ << ")";

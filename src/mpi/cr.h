@@ -22,13 +22,11 @@
 #include <functional>
 #include <memory>
 
+#include "mpi/runtime.h"
 #include "sim/sync.h"
 #include "sim/task.h"
 
 namespace nm::mpi {
-
-class MpiRuntime;
-class Rank;
 
 class CrService {
  public:
@@ -47,8 +45,15 @@ class CrService {
   /// Waits until request generation `gen` has fully completed.
   [[nodiscard]] sim::Task wait_complete(std::uint64_t gen);
 
-  /// Library entry hook: participates in a pending checkpoint, else free.
-  [[nodiscard]] sim::Task service_if_pending(Rank& rank);
+  /// Library entry check, made inline on every MPI call: true while a
+  /// request is pending that `rank` has not joined yet. A rank joins each
+  /// request at most once, so after its part it may re-enter the library
+  /// while slower ranks are still inside.
+  [[nodiscard]] bool owes(const Rank& rank) const {
+    return pending_ && rank.cr_generation < requested_generation_;
+  }
+  /// Runs `rank`'s part of the pending request. Call only when owes(rank).
+  [[nodiscard]] sim::Task service(Rank& rank);
 
   /// Internal: runtime state changed (delivery etc.) — re-check conditions.
   void notify_state_changed() { state_changed_.notify_all(); }
@@ -56,8 +61,6 @@ class CrService {
   void on_init(std::size_t rank_count);
 
  private:
-  [[nodiscard]] sim::Task service(Rank& rank);
-
   MpiRuntime* runtime_;
   SelfCallback checkpoint_cb_;
   SelfCallback continue_cb_;

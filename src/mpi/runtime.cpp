@@ -165,7 +165,9 @@ sim::Task MpiRuntime::send(RankId from, RankId to, int tag, Bytes bytes, std::ui
   NM_CHECK(initialized_, "send before init()");
   Rank& sender = rank(from);
   (void)rank(to);  // bounds check
-  co_await cr_->service_if_pending(sender);
+  if (cr_->owes(sender)) {
+    co_await cr_->service(sender);
+  }
 
   if (bytes <= options_.eager_limit) {
     // Eager protocol: the payload travels asynchronously; the sender
@@ -217,7 +219,9 @@ sim::Task MpiRuntime::wait(RankId me, RequestPtr request) {
                                          << "'s request");
   Rank& waiter = rank(me);
   while (true) {
-    co_await cr_->service_if_pending(waiter);
+    if (cr_->owes(waiter)) {
+      co_await cr_->service(waiter);
+    }
     if (request->complete_) {
       co_return;
     }
@@ -243,7 +247,9 @@ sim::Task MpiRuntime::recv(RankId me, RankId src, int tag, MessageInfo* out) {
   NM_CHECK(initialized_, "recv before init()");
   Rank& receiver = rank(me);
   while (true) {
-    co_await cr_->service_if_pending(receiver);
+    if (cr_->owes(receiver)) {
+      co_await cr_->service(receiver);
+    }
     auto matched = try_match(me, src, tag);
     if (matched.has_value()) {
       if (out != nullptr) {
@@ -256,7 +262,10 @@ sim::Task MpiRuntime::recv(RankId me, RankId src, int tag, MessageInfo* out) {
 }
 
 sim::Task MpiRuntime::progress(RankId me) {
-  co_await cr_->service_if_pending(rank(me));
+  Rank& caller = rank(me);
+  if (cr_->owes(caller)) {
+    co_await cr_->service(caller);
+  }
 }
 
 void MpiRuntime::deliver(RankId to, MessageInfo msg) {

@@ -90,7 +90,7 @@ class Rank {
   [[nodiscard]] std::string transport_to(RankId peer_rank);
 
   // --- Wakeups -------------------------------------------------------------
-  [[nodiscard]] sim::Task wait_notify() { return notifier_.wait(); }
+  [[nodiscard]] auto wait_notify() { return notifier_.wait(); }
   void notify() { notifier_.notify_all(); }
 
   /// Last checkpoint request this rank has participated in (CrService).

@@ -206,23 +206,35 @@ sim::Task Fabric::transfer(AttachmentPtr src, FabricAddress dst_addr, Bytes byte
   if (bytes.is_zero()) {
     co_return;
   }
-  std::vector<sim::ResourceShare> shares;
-  shares.push_back({&src->port_->tx(), 1.0});
   // Intra-site topology: the source fabric contributes the up-segment (or
   // the full leaf-to-leaf path for a local destination); a cross-site
   // transfer additionally crosses the landing fabric's down-segment to the
   // destination leaf. Transit sites are crossed gateway-to-gateway at the
   // top tier, so they contribute nothing.
+  std::vector<ClosHop> up_path;
   if (topology_ != nullptr) {
     const int src_leaf = topology_->leaf_of(*src->port_);
     const int dst_leaf =
         hops.empty() ? topology_->leaf_of(*dst->port_) : net::ClosFabric::kSpineAttach;
-    topology_->append_shares(topology_->pick_path(src_leaf, dst_leaf), shares);
+    up_path = topology_->pick_path(src_leaf, dst_leaf);
   }
-  if (!hops.empty() && hops.back().to->topology_ != nullptr) {
-    ClosFabric& landing = *hops.back().to->topology_;
-    landing.append_shares(
-        landing.pick_path(net::ClosFabric::kSpineAttach, landing.leaf_of(*dst->port_)), shares);
+  ClosFabric* landing = hops.empty() ? nullptr : hops.back().to->topology_;
+  std::vector<ClosHop> landing_path;
+  if (landing != nullptr) {
+    landing_path = landing->pick_path(net::ClosFabric::kSpineAttach, landing->leaf_of(*dst->port_));
+  }
+  // Sized once: tx, both Clos paths, four shares per WAN hop, rx, the
+  // optional CPUs, the extras and the destination's rx extras.
+  std::vector<sim::ResourceShare> shares;
+  shares.reserve(2 + up_path.size() + landing_path.size() + 4 * hops.size() +
+                 (opts.src_cpu_per_byte > 0.0 ? 1 : 0) + (opts.dst_cpu_per_byte > 0.0 ? 1 : 0) +
+                 opts.extras.size() + dst->rx_shares_.size());
+  shares.push_back({&src->port_->tx(), 1.0});
+  if (topology_ != nullptr) {
+    topology_->append_shares(up_path, shares);
+  }
+  if (landing != nullptr) {
+    landing->append_shares(landing_path, shares);
   }
   for (const WanHop& hop : hops) {
     // Both WAN endpoints are crossed (shared medium), so exactly one of

@@ -195,6 +195,13 @@ void Simulation::post_resume(Duration delay, std::coroutine_handle<> h) {
   enqueue(now_ + delay, h, {});
 }
 
+void Simulation::resume_all(std::vector<std::coroutine_handle<>>& waiters) {
+  for (auto h : waiters) {
+    post_resume(Duration::zero(), h);
+  }
+  waiters.clear();
+}
+
 Simulation::Ticket Simulation::post_cancelable(Duration delay, EventCallback fn) {
   NM_CHECK(delay > Duration::zero(), "a cancelable post needs a positive delay");
   NM_CHECK(static_cast<bool>(fn), "null callback");

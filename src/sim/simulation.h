@@ -65,6 +65,10 @@ class Simulation {
   void post_at(TimePoint at, EventCallback fn);
   /// Schedules a coroutine resumption after `delay` (used by awaitables).
   void post_resume(Duration delay, std::coroutine_handle<> h);
+  /// Schedules a zero-delay resumption of every handle in `waiters`, in
+  /// order, and empties the list in place. The list keeps its capacity, so
+  /// a primitive that parks and wakes tasks over and over allocates nothing.
+  void resume_all(std::vector<std::coroutine_handle<>>& waiters);
 
   /// Handle to a cancelable entry (see post_cancelable). It goes stale once
   /// the entry fires or is cancelled; a later post that recycles the
@@ -249,11 +253,7 @@ class Event {
       return;
     }
     set_ = true;
-    auto waiters = std::move(waiters_);
-    waiters_.clear();
-    for (auto h : waiters) {
-      sim_->post_resume(Duration::zero(), h);
-    }
+    sim_->resume_all(waiters_);
   }
 
   void reset() { set_ = false; }

@@ -67,7 +67,7 @@ void SolvePool::settle() {
   // solved some on its own; merges retire components). Component ids
   // are unique within a dirty list (the flag dedups marks) and ascending
   // within it is not guaranteed, so sort below.
-  tasks_.clear();
+  recycle_tasks();  // a batch left behind by a compute that threw
   for (std::uint32_t domain = 0; domain < attached_.size(); ++domain) {
     FluidScheduler* sched = attached_[domain];
     if (sched == nullptr || !sched->pool_dirty_) {
@@ -77,11 +77,7 @@ void SolvePool::settle() {
     for (const auto id : sched->dirty_comps_) {
       auto* comp = id < sched->comps_.size() ? sched->comps_[id].get() : nullptr;
       if (comp != nullptr && comp->dirty) {
-        TaskEntry entry;
-        entry.sched = sched;
-        entry.comp = comp;
-        entry.domain = domain;
-        tasks_.push_back(std::move(entry));
+        add_task(sched, comp, domain);
       }
     }
     sched->dirty_comps_.clear();
@@ -155,11 +151,7 @@ void SolvePool::settle() {
         if (idx == tasks_.size()) {
           auto* comp = comp_id < sched->comps_.size() ? sched->comps_[comp_id].get() : nullptr;
           NM_CHECK(comp != nullptr, "exchange dirtied a retired component");
-          TaskEntry entry;
-          entry.sched = sched;
-          entry.comp = comp;
-          entry.domain = sched->pool_domain_;
-          tasks_.push_back(std::move(entry));
+          add_task(sched, comp, sched->pool_domain_);
         }
         if (std::find(pending_.begin(), pending_.end(), idx) == pending_.end()) {
           pending_.push_back(idx);
@@ -184,8 +176,7 @@ void SolvePool::settle() {
       std::sort(tasks_.begin(), tasks_.end(), canonical);
     }
     for (auto& task : tasks_) {
-      task.result.finished = std::move(task.finished_acc);
-      task.finished_acc.clear();
+      task.result.finished.swap(task.finished_acc);  // result.finished was banked empty
     }
   }
 
@@ -204,7 +195,30 @@ void SolvePool::settle() {
       task.sched->maybe_rebuild();
     }
   }
+  recycle_tasks();
+}
+
+void SolvePool::recycle_tasks() {
+  for (auto& task : tasks_) {
+    task.result.finished.clear();
+    task.finished_acc.clear();
+    spare_tasks_.push_back(std::move(task));
+  }
   tasks_.clear();
+}
+
+void SolvePool::add_task(FluidScheduler* sched, FluidScheduler::Component* comp,
+                         std::uint32_t domain) {
+  if (spare_tasks_.empty()) {
+    tasks_.emplace_back();
+  } else {
+    tasks_.push_back(std::move(spare_tasks_.back()));
+    spare_tasks_.pop_back();
+  }
+  TaskEntry& entry = tasks_.back();
+  entry.sched = sched;
+  entry.comp = comp;
+  entry.domain = domain;
 }
 
 void SolvePool::compute_pending() {

@@ -122,6 +122,11 @@ class SolvePool {
   /// Computes every task listed in pending_, in canonical order. A compute
   /// that throws propagates before anything is committed.
   void compute_pending();
+  /// Appends a task for `comp`, reusing a spare entry when there is one.
+  void add_task(FluidScheduler* sched, FluidScheduler::Component* comp, std::uint32_t domain);
+  /// Empties the batch into spare_tasks_. The entries keep their vectors'
+  /// capacity, so later settles bank completions without allocating.
+  void recycle_tasks();
 
   Simulation* sim_;
   std::uint64_t hook_id_ = 0;
@@ -131,6 +136,8 @@ class SolvePool {
 
   /// The task batch for the current settle.
   std::vector<TaskEntry> tasks_;
+  /// Entries of earlier batches, reused by add_task.
+  std::vector<TaskEntry> spare_tasks_;
   /// Indices into tasks_ to compute this round, in canonical order. Round
   /// 0 lists every collected task; later (exchange) rounds list just the
   /// components the exchange re-dirtied.

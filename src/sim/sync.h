@@ -32,11 +32,7 @@ class Gate {
       return;
     }
     open_ = true;
-    auto waiters = std::move(waiters_);
-    waiters_.clear();
-    for (auto h : waiters) {
-      sim_->post_resume(Duration::zero(), h);
-    }
+    sim_->resume_all(waiters_);
   }
 
   void close() { open_ = false; }
@@ -174,12 +170,12 @@ inline Task join_all(std::vector<TaskRef> refs) {
   }
 }
 
-/// A cyclic counting barrier for a fixed party count. Reusable: the cycle
-/// resets once everyone has arrived.
+/// A cyclic counting barrier for a fixed party count. Reusable: the last
+/// arrival of a cycle releases it, so a released party that arrives again,
+/// even at the release instant, waits for the next cycle.
 class Barrier {
  public:
-  Barrier(Simulation& sim, std::size_t parties)
-      : sim_(&sim), parties_(parties), cycle_(std::make_unique<Event>(sim)) {
+  Barrier(Simulation& sim, std::size_t parties) : sim_(&sim), parties_(parties) {
     NM_CHECK(parties > 0, "barrier needs at least one party");
   }
   Barrier(const Barrier&) = delete;
@@ -188,56 +184,60 @@ class Barrier {
   [[nodiscard]] std::size_t parties() const { return parties_; }
   [[nodiscard]] std::size_t arrived() const { return arrived_; }
 
-  [[nodiscard]] Task arrive_and_wait() {
-    ++arrived_;
-    if (arrived_ >= parties_) {
-      arrived_ = 0;
-      auto old = std::move(cycle_);
-      cycle_ = std::make_unique<Event>(*sim_);
-      old->set();
-      // Keep the fired event alive until its waiters have been resumed;
-      // the callback owns it, so teardown with the post still pending
-      // frees it instead of leaking.
-      sim_->post(Duration::zero(), [owned = std::move(old)]() mutable { owned.reset(); });
-      co_return;
-    }
-    Event& cycle = *cycle_;
-    co_await cycle.wait();
+  /// Awaitable: counts the caller's arrival and parks it until the cycle's
+  /// last arrival, which wakes the parked parties and passes straight
+  /// through.
+  [[nodiscard]] auto arrive_and_wait() {
+    struct Awaiter {
+      Barrier& barrier;
+      [[nodiscard]] bool await_ready() const noexcept { return false; }
+      bool await_suspend(std::coroutine_handle<> h) {
+        Barrier& b = barrier;
+        if (++b.arrived_ < b.parties_) {
+          b.waiters_.push_back(h);
+          return true;
+        }
+        b.arrived_ = 0;
+        b.sim_->resume_all(b.waiters_);
+        return false;  // the last arrival continues at once
+      }
+      void await_resume() const noexcept {}
+    };
+    return Awaiter{*this};
   }
 
  private:
   Simulation* sim_;
   std::size_t parties_;
   std::size_t arrived_ = 0;
-  std::unique_ptr<Event> cycle_;
+  std::vector<std::coroutine_handle<>> waiters_;
 };
 
-/// Condition-variable-style notifier: waiters park on the current cycle;
-/// notify_all() wakes every current waiter (and only them).
+/// Condition-variable-style notifier: notify_all() wakes every task parked
+/// in wait() at that moment, and only those; a woken task that waits again,
+/// even at the same instant, parks until the next notify_all().
 class Notifier {
  public:
-  explicit Notifier(Simulation& sim)
-      : sim_(&sim), cycle_(std::make_unique<Event>(sim)) {}
+  explicit Notifier(Simulation& sim) : sim_(&sim) {}
   Notifier(const Notifier&) = delete;
   Notifier& operator=(const Notifier&) = delete;
 
-  [[nodiscard]] Task wait() {
-    Event& cycle = *cycle_;
-    co_await cycle.wait();
+  /// Awaitable: parks until the next notify_all().
+  [[nodiscard]] auto wait() {
+    struct Awaiter {
+      Notifier& notifier;
+      [[nodiscard]] bool await_ready() const noexcept { return false; }
+      void await_suspend(std::coroutine_handle<> h) { notifier.waiters_.push_back(h); }
+      void await_resume() const noexcept {}
+    };
+    return Awaiter{*this};
   }
 
-  void notify_all() {
-    auto old = std::move(cycle_);
-    cycle_ = std::make_unique<Event>(*sim_);
-    old->set();
-    // As in Barrier: the post owns the retired cycle, so it is released
-    // whether the callback runs or the simulation is torn down first.
-    sim_->post(Duration::zero(), [owned = std::move(old)]() mutable { owned.reset(); });
-  }
+  void notify_all() { sim_->resume_all(waiters_); }
 
  private:
   Simulation* sim_;
-  std::unique_ptr<Event> cycle_;
+  std::vector<std::coroutine_handle<>> waiters_;
 };
 
 }  // namespace nm::sim

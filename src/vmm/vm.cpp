@@ -16,8 +16,8 @@ Vm::Vm(sim::Simulation& sim, sim::FluidScheduler& scheduler, VmSpec spec, Host& 
       vcpu_(scheduler, "vcpu:" + spec_.name, spec_.vcpus),
       run_gate_(sim, /*initially_open=*/true),
       hotplug_events_(sim),
-      symvirt_cycle_(std::make_unique<sim::Event>(sim)),
-      symvirt_entered_(std::make_unique<sim::Event>(sim)) {
+      symvirt_cycle_(sim),
+      symvirt_entered_(sim) {
   // The booted guest OS occupies incompressible memory from the start.
   if (!spec_.base_os_footprint.is_zero()) {
     memory_.write_data(Bytes::zero(), spec_.base_os_footprint);
@@ -155,30 +155,22 @@ bool Vm::has_vmm_bypass_device() const {
 sim::Task Vm::symvirt_wait() {
   ++symvirt_waiting_;
   NM_LOG_TRACE("symvirt") << name() << ": wait (" << symvirt_waiting_ << " parked)";
-  // Pulse "entered" so a VMM-side wait_for_symvirt_entries can recheck.
-  symvirt_entered_->set();
-  symvirt_entered_->reset();
-  // Park until the next signal cycle.
-  sim::Event& cycle = *symvirt_cycle_;
-  co_await cycle.wait();
+  // Wake a VMM-side wait_for_symvirt_entries so it can recheck.
+  symvirt_entered_.notify_all();
+  // Park until the next signal; a woken task that re-enters symvirt_wait
+  // parks again until the signal after that.
+  co_await symvirt_cycle_.wait();
 }
 
 void Vm::symvirt_signal() {
   NM_LOG_TRACE("symvirt") << name() << ": signal (" << symvirt_waiting_ << " parked)";
   symvirt_waiting_ = 0;
-  // Swap in a fresh cycle before waking, so that a woken task immediately
-  // re-entering symvirt_wait parks on the new cycle.
-  auto old = std::move(symvirt_cycle_);
-  symvirt_cycle_ = std::make_unique<sim::Event>(*sim_);
-  old->set();
-  // Keep the fired event alive until its waiters have been resumed. The
-  // post owns it, so teardown with the post pending frees it.
-  sim_->post(Duration::zero(), [owned = std::move(old)]() mutable { owned.reset(); });
+  symvirt_cycle_.notify_all();
 }
 
 sim::Task Vm::wait_for_symvirt_entries(std::size_t n) {
   while (symvirt_waiting_ < n) {
-    co_await symvirt_entered_->wait();
+    co_await symvirt_entered_.wait();
   }
 }
 

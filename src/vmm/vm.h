@@ -110,8 +110,8 @@ class Vm {
   sim::Channel<HotplugEvent> hotplug_events_;
 
   std::size_t symvirt_waiting_ = 0;
-  std::unique_ptr<sim::Event> symvirt_cycle_;    // set on signal
-  std::unique_ptr<sim::Event> symvirt_entered_;  // pulsed on each wait entry
+  sim::Notifier symvirt_cycle_;    // notified on signal
+  sim::Notifier symvirt_entered_;  // notified on each wait entry
 };
 
 }  // namespace nm::vmm

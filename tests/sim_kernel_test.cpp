@@ -1,6 +1,6 @@
 // Tests for the discrete-event simulation kernel: event ordering, coroutine
-// tasks, events/gates/channels/semaphores, exception propagation, and the
-// allocation-free inline-callback event path.
+// tasks, events/gates/channels/semaphores, exception propagation, the
+// allocation-free inline-callback event path and the task frame pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -41,6 +41,9 @@ void* operator new(std::size_t size) {
 
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+// Defined by the AddressSanitizer runtime; null in a build without it.
+extern "C" int __asan_address_is_poisoned(const volatile void* addr) __attribute__((weak));
 
 namespace nm::sim {
 namespace {
@@ -768,10 +771,9 @@ TEST(InlineEvents, MixedResumeAndCallbackEntriesKeepPostOrder) {
 }
 
 TEST(InlineEvents, PendingZeroDelayPostsReleasedOnTeardown) {
-  // Regression for the Barrier/Notifier/symvirt retire pattern: the
-  // zero-delay post *owns* the retired cycle event, so destroying the
-  // simulation with the post still pending must free it (pre-fix this
-  // leaked a raw `Event*` — caught under ASan/LSan in CI).
+  // A zero-delay post *owns* its captures, so destroying the simulation
+  // with the post still pending must free them (a raw pointer in the
+  // capture would leak; ASan/LSan in CI catches that).
   struct Tracer {
     bool* destroyed;
     ~Tracer() { *destroyed = true; }
@@ -787,26 +789,66 @@ TEST(InlineEvents, PendingZeroDelayPostsReleasedOnTeardown) {
 }
 
 TEST(InlineEvents, NotifierTeardownWithPendingRetirePostIsClean) {
-  // End-to-end version of the above through Notifier: notify_all() retires
-  // the old cycle event into a pending zero-delay post; tearing the
-  // simulation down before it fires must free the event (and the parked
-  // waiter's coroutine frame).
+  // Teardown through Notifier: notify_all() leaves the woken waiter's
+  // resumption pending; destroying the simulation before it runs must
+  // free the waiter's coroutine frame without resuming it.
   auto sim = std::make_unique<Simulation>();
   Notifier notifier(*sim);
   sim->spawn([](Notifier& n) -> Task { co_await n.wait(); }(notifier));
-  sim->run();  // park the waiter on the current cycle
+  sim->run();  // park the waiter
   notifier.notify_all();
-  sim.reset();  // pending retire post + suspended waiter: no leak under ASan
+  sim.reset();  // pending wake-up + suspended waiter: no leak under ASan
 }
 
 TEST(InlineEvents, BarrierTeardownWithPendingRetirePostIsClean) {
+  // Teardown through Barrier: one party is parked, the second party's
+  // spawn is still pending; destroying the simulation frees both frames.
   auto sim = std::make_unique<Simulation>();
   Barrier barrier(*sim, 2);
   sim->spawn([](Barrier& b) -> Task { co_await b.arrive_and_wait(); }(barrier));
   sim->run();  // first party parks
   sim->spawn([](Barrier& b) -> Task { co_await b.arrive_and_wait(); }(barrier));
-  // The second arrival retired the cycle into a pending zero-delay post.
   sim.reset();  // no leak
+}
+
+// --- Task frame pool ---------------------------------------------------------
+
+TEST(FramePool, ReleasedBlockGoesToTheNextFrameOfItsSizeClass) {
+  void* block = detail::allocate_frame(100);  // the 65..128-byte class
+  detail::free_frame(block, 100);
+  void* other_class = detail::allocate_frame(200);
+  EXPECT_NE(other_class, block);
+  void* same_class = detail::allocate_frame(65);
+  EXPECT_EQ(same_class, block);
+  detail::free_frame(same_class, 65);
+  detail::free_frame(other_class, 200);
+}
+
+TEST(FramePool, TaskFramesOfAWarmSizeClassAreAllocationFree) {
+  Simulation sim;
+  const auto make = [](Simulation& s) -> Task { co_await s.delay(Duration::nanos(1)); };
+  { Task warm = make(sim); }  // the first frame of its size class may come from the heap
+  g_alloc_count.store(0, std::memory_order_relaxed);
+  g_count_allocs.store(true, std::memory_order_relaxed);
+  for (int i = 0; i < 64; ++i) {
+    Task task = make(sim);
+  }
+  g_count_allocs.store(false, std::memory_order_relaxed);
+  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0)
+      << "a task frame of a warm size class came from the heap";
+}
+
+TEST(FramePool, PooledBlockIsPoisonedUnderAsan) {
+  if (__asan_address_is_poisoned == nullptr) {
+    GTEST_SKIP() << "not an AddressSanitizer build";
+  }
+  void* block = detail::allocate_frame(300);
+  EXPECT_EQ(__asan_address_is_poisoned(block), 0);
+  detail::free_frame(block, 300);
+  EXPECT_NE(__asan_address_is_poisoned(block), 0) << "a pooled block is addressable";
+  EXPECT_EQ(detail::allocate_frame(300), block);
+  EXPECT_EQ(__asan_address_is_poisoned(block), 0) << "a reused block is still poisoned";
+  detail::free_frame(block, 300);
 }
 
 }  // namespace

@@ -62,6 +62,35 @@ TEST(Barrier, SinglePartyPassesThrough) {
   EXPECT_EQ(barrier.arrived(), 0u);
 }
 
+TEST(Barrier, PartyThatRearrivesAtTheReleaseInstantWaitsForTheNextCycle) {
+  Simulation sim;
+  Barrier barrier(sim, 2);
+  std::vector<double> eager;
+  std::vector<double> late;
+  // The eager party arrives again as soon as it is released; the late one
+  // arrives at t=1 and at t=5.
+  sim.spawn([](Simulation& s, Barrier& b, std::vector<double>& out) -> Task {
+    for (int round = 0; round < 2; ++round) {
+      co_await b.arrive_and_wait();
+      out.push_back(s.now().to_seconds());
+    }
+  }(sim, barrier, eager));
+  sim.spawn([](Simulation& s, Barrier& b, std::vector<double>& out) -> Task {
+    co_await s.delay(Duration::seconds(1.0));
+    co_await b.arrive_and_wait();
+    out.push_back(s.now().to_seconds());
+    co_await s.delay(Duration::seconds(4.0));
+    co_await b.arrive_and_wait();
+    out.push_back(s.now().to_seconds());
+  }(sim, barrier, late));
+  sim.run_until(TimePoint::origin() + Duration::seconds(2.0));
+  EXPECT_EQ(eager, (std::vector<double>{1.0}));
+  EXPECT_EQ(barrier.arrived(), 1u);  // the eager re-arrival opened the next cycle
+  sim.run();
+  EXPECT_EQ(eager, (std::vector<double>{1.0, 5.0}));
+  EXPECT_EQ(late, (std::vector<double>{1.0, 5.0}));
+}
+
 TEST(Barrier, ZeroPartiesRejected) {
   Simulation sim;
   EXPECT_THROW(Barrier(sim, 0), LogicError);
@@ -90,6 +119,29 @@ TEST(Notifier, WakesOnlyCurrentWaiters) {
   ASSERT_EQ(woke.size(), 2u);
   EXPECT_DOUBLE_EQ(woke[0], 1.0);
   EXPECT_DOUBLE_EQ(woke[1], 3.0);
+}
+
+TEST(Notifier, WaiterThatRewaitsAtItsWakeInstantParksUntilTheNextNotify) {
+  Simulation sim;
+  Notifier notifier(sim);
+  std::vector<double> woke;
+  sim.spawn([](Simulation& s, Notifier& n, std::vector<double>& out) -> Task {
+    while (true) {
+      co_await n.wait();
+      out.push_back(s.now().to_seconds());
+    }
+  }(sim, notifier, woke));
+  // Both t=1 notifies run before the woken waiter resumes and waits again,
+  // so only the first one reaches it; its re-wait at t=1 lasts until t=3.
+  sim.post(Duration::seconds(1.0), [&] {
+    notifier.notify_all();
+    notifier.notify_all();
+  });
+  sim.post(Duration::seconds(3.0), [&] { notifier.notify_all(); });
+  sim.run_until(TimePoint::origin() + Duration::seconds(2.0));
+  EXPECT_EQ(woke, (std::vector<double>{1.0}));
+  sim.run();
+  EXPECT_EQ(woke, (std::vector<double>{1.0, 3.0}));
 }
 
 TEST(Notifier, NotifyWithNoWaitersIsANoOp) {

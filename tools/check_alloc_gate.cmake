@@ -7,8 +7,9 @@
 cmake_minimum_required(VERSION 3.16)
 
 # The post/drain path on a small heap, the same churn with 32k far timers
-# pending, and a fluid completion timer re-keyed on every re-solve.
-set(gates BM_PostHotPath BM_PostFarHorizon BM_FluidTimerRearm)
+# pending, a fluid completion timer re-keyed on every re-solve, and the
+# Notifier/Barrier wake-up cycle with its task frames.
+set(gates BM_PostHotPath BM_PostFarHorizon BM_FluidTimerRearm BM_WakeCycle)
 string(REPLACE ";" "|" filter "${gates}")
 file(MAKE_DIRECTORY "${WORKDIR}")
 execute_process(COMMAND "${BINARY}" "--benchmark_filter=^(${filter})$"
